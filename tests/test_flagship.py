@@ -169,8 +169,19 @@ class TestAccounting:
 
 
 class TestFastPercentiles:
+    @staticmethod
+    def _separate_passes(px):
+        """The A4 stats as separate numpy passes: min, max, float64
+        mean/std, zero share, np.percentile(float64, linear)."""
+        p = np.percentile(px.astype(np.float64), (25, 50, 75))
+        return (int(px.min()), int(px.max()),
+                float(px.mean(dtype=np.float64)),
+                float(px.std(dtype=np.float64)),
+                float((px == 0).mean()),
+                float(p[0]), float(p[1]), float(p[2]))
+
     def test_bit_exact_vs_np_percentile(self):
-        """The single-partition A4 percentile fast path must equal
+        """The sorted-order A4 percentiles must equal
         np.percentile(float64, (25,50,75)) BITWISE (the values land in the
         enriched parquet the oracles read)."""
         rng = np.random.default_rng(7)
@@ -178,11 +189,34 @@ class TestFastPercentiles:
             n = int(rng.integers(1, 500))
             px = rng.integers(0, 65536, n).astype(np.uint16)
             want = np.percentile(px.astype(np.float64), (25, 50, 75))
-            got = np.array(flagship._percentiles_25_50_75(px))
+            got = np.array(flagship._pixel_stats(px)[5:])
             assert (want == got).all(), (n, want, got)
         px = rng.integers(0, 65536, (144, 144)).astype(np.uint16)
         want = np.percentile(px.astype(np.float64), (25, 50, 75))
-        assert (np.array(flagship._percentiles_25_50_75(px)) == want).all()
+        assert (np.array(flagship._pixel_stats(px)[5:]) == want).all()
+
+    def test_stats_tuple_matches_separate_passes(self):
+        """The one-sort kernel returns the whole stats tuple bit-for-bit
+        (and type-for-type) as the separate passes do, on edge shapes and
+        on pixel grids with many zeros and ties."""
+        rng = np.random.default_rng(9)
+        cases = [np.array([0], np.uint16), np.array([65535], np.uint16),
+                 np.array([[7]], np.uint16),
+                 np.zeros((144, 144), np.uint16),
+                 np.full((144, 144), 4242, np.uint16),
+                 np.full((3, 5), 65535, np.uint16),
+                 rng.integers(0, 65536, (144, 144)).astype(np.uint16)]
+        for _ in range(200):
+            shape = (int(rng.integers(1, 40)), int(rng.integers(1, 40)))
+            hi = int(rng.choice([2, 16, 65536]))
+            px = rng.integers(0, hi, shape).astype(np.uint16)
+            px[rng.random(shape) < rng.random()] = 0
+            cases.append(px)
+        for px in cases:
+            want = self._separate_passes(px)
+            got = flagship._pixel_stats(px)
+            assert got == want, (px.shape, want, got)
+            assert [type(v) for v in got] == [type(v) for v in want]
 
     def test_no_copy_mean_std_bit_exact(self):
         rng = np.random.default_rng(8)
@@ -378,6 +412,38 @@ class TestCaptures:
             assert (got == want).all()
             checked += 1
         assert checked > 0 or len(nogps) == 0
+
+    def test_every_index_blob_is_raw_and_exact(self, flag_out, all_df,
+                                                input_df):
+        """Every ``ok`` capture stores its 8 index grids as raw GI01 blobs
+        (the parquet page codec is the only compression) carrying the
+        index name and capture id, and each grid equals the quantized index
+        of the capture's aligned, calibrated band stack."""
+        from tiff_enrichment_pipeline_ray.config import ALL_INDICES
+        from tiff_enrichment_pipeline_ray.functions import indices as I
+        from tiff_enrichment_pipeline_ray.stages import capture as C
+
+        out, _ = flag_out
+        caps = flagship.read_captures(out).to_pandas()
+        ok = caps[caps.status == "ok"].set_index("capture_id")
+        assert len(ok) > 0
+        rows = all_df[all_df.capture_id.isin(ok.index)].merge(
+            input_df[["image_id", "bytes"]], on="image_id")
+        cols = {c: rows[c].to_numpy() for c in C.CAPTURE_SHUFFLE_COLS}
+        for cid, grp in rows.groupby("capture_id"):
+            idx = grp.sort_values("band").index.to_numpy()
+            assert cols["band"][idx].tolist() == [1, 2, 3, 4, 5]
+            stack = C._calibrated_stack(cols, idx)
+            for name in ALL_INDICES:
+                blob = ok.at[cid, f"index_{name}"]
+                assert codec.decode_header_meta(blob)["fmt"] == "raw"
+                px, meta, good = codec.decode_image(blob)
+                assert good, (cid, name)
+                assert meta == {"Index": name.upper(), "Capture Id": cid}
+                want = I.quantize_index(I.compute_index(name, stack))
+                assert px.dtype == want.dtype and (px == want).all(), \
+                    (cid, name)
+        assert rows.capture_id.nunique() == len(ok)
 
     def test_capture_statuses(self, flag_out):
         out, _ = flag_out

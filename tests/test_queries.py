@@ -307,6 +307,41 @@ def test_oracle_keys_subset_of_queries(gate):
     assert o <= q, o - q
 
 
+class TestPreaggSpec:
+    """_preagg's arrow partial names pyarrow's output columns back by
+    (src, op), so a spec that repeats a pair or carries two COUNT(*)
+    entries must fail loudly instead of mislabeling aggregates."""
+
+    @staticmethod
+    def _ds():
+        import pandas as pd
+        import ray.data as rd
+
+        return rd.from_pandas(pd.DataFrame(
+            {"k": [1, 1, 2], "x": [1.0, 2.0, 3.0]}))
+
+    @pytest.mark.parametrize("spec", [
+        [("s1", "x", "sum"), ("s2", "x", "sum")],
+        [("n1", None, "count"), ("n2", None, "count")],
+    ], ids=["same_src_op", "two_count_all"])
+    def test_duplicate_spec_rejected(self, spec, monkeypatch):
+        from tiff_enrichment_pipeline_ray.pipelines.queries import _preagg
+
+        monkeypatch.delenv("GRAFT_PREAGG", raising=False)
+        with pytest.raises(AssertionError):
+            _preagg(self._ds(), ["k"], spec).to_pandas()
+
+    def test_distinct_spec_aggregates(self, monkeypatch):
+        from tiff_enrichment_pipeline_ray.pipelines.queries import _preagg
+
+        monkeypatch.delenv("GRAFT_PREAGG", raising=False)
+        spec = [("s", "x", "sum"), ("mx", "x", "max"),
+                ("n", None, "count"), ("nx", "x", "count")]
+        got = _preagg(self._ds(), ["k"], spec).to_pandas().sort_values("k")
+        assert got[["k", "s", "mx", "n", "nx"]].values.tolist() == \
+            [[1, 3.0, 2.0, 2, 2], [2, 3.0, 3.0, 1, 1]]
+
+
 class TestJoinSafe:
     """Empty-hash-partition join regression (functions/joinsafe.py): Ray
     2.49's stock join aggregation raises ArrowInvalid when a partition

@@ -21,6 +21,15 @@ opaque binary column with a self-describing container:
 `lossyq` quantizes to 8 bits against the per-image max (scale stored in the
 payload head); reconstruction error ≤ scale/510 ⇒ PSNR (MAX=65535) far above
 the 40 dB invariant (BASELINE.json input_hint).
+
+Which writer uses which fmt:
+
+- input images (``sources.synth``): a seeded mix of all three;
+- capture index grids (``stages.capture``): ``raw`` — they land in a zstd
+  parquet column, and the page codec compresses the plain ``<u2`` grid
+  better and cheaper than zlib-then-zstd does;
+- resized images and sampled video frames (``stages.multimodal``
+  ``ImageResize``/``VideoFrameSample``): ``png`` at zlib level 1.
 """
 
 from __future__ import annotations

@@ -111,8 +111,8 @@ def index_visualizations_dataset(flag_dir: str, batch_size: int = 64):
     dequantize (v = q/32767.5 − 1, the inverse of processor.py:419), apply
     the reference's per-index colormap/vmin/vmax, PNG-encode, and emit the
     stats block (mean/std/min/max/veg%/high-veg%). One stateless map_batches
-    over the captures parquet — small batches (rows carry rasters); output
-    rows are slim (one PNG + 6 floats per index)."""
+    over the captures parquet — small batches (rows carry raw index
+    rasters); output rows are slim (one RGB PNG + 6 floats per index)."""
     import pandas as pd
 
     from . import flagship

@@ -84,11 +84,8 @@ def _make_part_writer(out_dir: str, caps_dir: str | None = None,
         if key_raw.startswith("o:") and caps_dir is not None:
             cg = g.rename(columns={"orph_bytes": "bytes"})
             res = capture_stage.process_bucket(cg, ndvi_variant=ndvi_variant)
-            res_t = _cap_cells(pin_from_pandas(res, CAPTURE_TYPES))
-            os.makedirs(caps_dir, exist_ok=True)
             final = os.path.join(caps_dir, f"{key}.parquet")
-            pq.write_table(res_t, final + ".tmp", compression="zstd")
-            os.replace(final + ".tmp", final)
+            _write_captures(res, final)
             cells = g["h3_r5"].to_numpy()
             return pd.DataFrame([{
                 "part_key": key_raw, "kind": "captures", "rows": len(res),
@@ -324,23 +321,28 @@ def enriched_dataset(files, cfg: PipelineConfig, layer_kwargs: dict,
     return ds
 
 
-def _percentiles_25_50_75(px: np.ndarray) -> tuple:
-    """(p25, p50, p75) of a 1-D/2-D integer pixel array, bit-exact with
-    ``np.percentile(px.astype(float64), (25, 50, 75))`` (linear method) but
-    ~1.5× faster: one np.partition over the uint16 data at the six needed
-    order statistics (no float64 image copy, no per-quantile dispatch),
-    then numpy's exact _lerp branch (t<0.5: a+(b-a)t, else b-(b-a)(1-t))."""
-    flat = px.ravel()
-    n = flat.size
-    vis = (0.25 * (n - 1), 0.5 * (n - 1), 0.75 * (n - 1))
-    ks = sorted({int(v) for v in vis} | {min(int(v) + 1, n - 1) for v in vis})
-    part = np.partition(flat, ks)
-    out = []
-    for vi in vis:
+def _pixel_stats(px: np.ndarray) -> tuple:
+    """A4 per-image stats (rasterio_utils.py:257-296) of a non-empty uint16
+    pixel grid: (min, max, mean, std, zero_ratio, p25, p50, p75).
+
+    One ``np.sort(kind="stable")`` (a radix sort for uint16) serves min,
+    max, the zero count (``searchsorted(s, 1)``) and the percentiles, which
+    are bit-exact with ``np.percentile(px.astype(float64), (25, 50, 75))``
+    (linear method: numpy's _lerp branch t<0.5: a+(b-a)t, else
+    b-(b-a)(1-t)). mean/std stay unsorted reductions: dtype=float64
+    accumulation on the uint16 array is bit-identical to
+    ``.astype(float64).mean()/.std()`` (same pairwise reduction over the
+    same promoted values, tested), while a sum over the sorted order would
+    round differently."""
+    s = np.sort(px.ravel(), kind="stable")
+    n = s.size
+    out = [int(s[0]), int(s[-1]),
+           float(px.mean(dtype=np.float64)), float(px.std(dtype=np.float64)),
+           int(np.searchsorted(s, 1)) / n]
+    for vi in (0.25 * (n - 1), 0.5 * (n - 1), 0.75 * (n - 1)):
         lo = int(vi)
-        hi = min(lo + 1, n - 1)
-        a = float(part[lo])
-        b = float(part[hi])
+        a = float(s[lo])
+        b = float(s[min(lo + 1, n - 1)])
         t = vi - lo
         out.append((a + (b - a) * t) if t < 0.5 else (b - (b - a) * (1 - t)))
     return tuple(out)
@@ -390,8 +392,6 @@ def _make_decode_stats_capture_stage(caps_dir: str | None,
         stored_ph = t.column("phash").to_numpy(zero_copy_only=False)
         fmts = t.column("fmt").to_pylist()
         pixels = [None] * n
-        import hashlib as _hh
-
         for i, blob in enumerate(blobs):
             if not hdr_ok[i]:
                 continue
@@ -400,24 +400,14 @@ def _make_decode_stats_capture_stage(caps_dir: str | None,
                 continue
             decode_ok[i] = True
             pixels[i] = px
-            px_min[i] = int(px.min())
-            px_max[i] = int(px.max())
-            # dtype=float64 accumulation on the uint16 array is bit-identical
-            # to .astype(float64).mean()/.std() (same pairwise reduction over
-            # the same promoted values, tested) and skips the full-image copy
-            px_mean[i] = float(px.mean(dtype=np.float64))
-            px_std[i] = float(px.std(dtype=np.float64))
-            zero_ratio[i] = float((px == 0).mean())
-            # A4 percentiles (rasterio_utils.py:282-292 — np.percentile
-            # [25,50,75] over the band's pixels, linear interpolation);
-            # single-partition fast path, bit-exact vs np.percentile (tested)
-            px_p25[i], px_p50[i], px_p75[i] = _percentiles_25_50_75(px)
+            (px_min[i], px_max[i], px_mean[i], px_std[i], zero_ratio[i],
+             px_p25[i], px_p50[i], px_p75[i]) = _pixel_stats(px)
             # V4 integrity (rasterio_utils.py:118-155): verify the stored
             # phash against the decoded pixels (lossless formats only —
             # lossyq legitimately reconstructs different bits)
             if fmts[i] in ("raw", "png"):
-                hsh = _hh.blake2b(np.ascontiguousarray(px, "<u2").tobytes(),
-                                  digest_size=8).digest()
+                hsh = _h.blake2b(np.ascontiguousarray(px, "<u2").tobytes(),
+                                 digest_size=8).digest()
                 phash_ok[i] = (int.from_bytes(hsh, "big") >> 1) == stored_ph[i]
             else:
                 phash_ok[i] = True
@@ -447,13 +437,10 @@ def _make_decode_stats_capture_stage(caps_dir: str | None,
                 if len(done):
                     res = capture_stage.process_bucket(
                         done, ndvi_variant=ndvi_variant)
-                    res_t = _cap_cells(pin_from_pandas(res, CAPTURE_TYPES))
                     tag = _h.blake2b("|".join(sorted(res["capture_id"])).encode(),
                                      digest_size=10).hexdigest()
-                    os.makedirs(caps_dir, exist_ok=True)
-                    final = os.path.join(caps_dir, f"local-{tag}.parquet")
-                    pq.write_table(res_t, final + ".tmp", compression="zstd")
-                    os.replace(final + ".tmp", final)
+                    _write_captures(
+                        res, os.path.join(caps_dir, f"local-{tag}.parquet"))
                 if len(orphans):
                     orph_global = midx[orphans.index.to_numpy()]
 
@@ -583,6 +570,20 @@ def _resolve_orphans(orph_tmp: str, tmp_dir: str, cap_tmp: str,
                               ndvi_variant=ndvi_variant),
             batch_format="pandas")
     return grouped.to_pandas()
+
+
+def _write_captures(res: pd.DataFrame, final: str) -> None:
+    """The one capture-tree writer: a ``process_bucket`` result → pinned
+    schema + cell columns → ``final`` (zstd, atomic tmp+rename). Used by
+    the decode stage's in-block captures and the orphan pass. The
+    ``index_*`` blobs are unique per capture, so a dictionary page never
+    hits for them: dictionary encoding stays on for the other columns only."""
+    t = _cap_cells(pin_from_pandas(res, CAPTURE_TYPES))
+    os.makedirs(os.path.dirname(final), exist_ok=True)
+    pq.write_table(t, final + ".tmp", compression="zstd",
+                   use_dictionary=[c for c in t.schema.names
+                                   if not c.startswith("index_")])
+    os.replace(final + ".tmp", final)
 
 
 def _cap_cells(t: pa.Table) -> pa.Table:

@@ -108,6 +108,12 @@ def _preagg(ds, keys, spec):
     # whole-block partials: combining works at block granularity (a 1024-row
     # default batch barely combines on high-cardinality keys)
     if os.environ.get("GRAFT_PREAGG", "arrow") == "arrow":
+        # partial_arrow names pyarrow's output columns back by (src, op), so
+        # a repeated pair — two COUNT(*) entries are (None, "count") twice —
+        # would be mislabeled silently
+        pairs = [(src, op) for _out, src, op in spec]
+        assert len(set(pairs)) == len(pairs), \
+            f"_preagg spec repeats a (src, op) pair: {pairs}"
         pds = ds.map_batches(partial_arrow, batch_format="pyarrow",
                              batch_size=None)
     else:
@@ -1733,11 +1739,13 @@ def geo_point_in_rect(sf_dir: str):
 
 # ------------------------------------------------- flagship (rows-only)
 
-_FLAG_VERSION = "v5"  # bump on any semantics change: invalidates /tmp caches
+_FLAG_VERSION = "v6"  # bump on any semantics change: invalidates /tmp caches
 # v5: orphan-spill flagship (capture/enriched ROW SETS identical to v4;
 # orphan file bucketing is volume-scaled so o_*.parquet groupings may
 # differ, and ops gains the orphan_resolve stage row) — regenerate so
 # driver artifacts exercise the shipped code path
+# v6: capture index grids stored as raw GI01 blobs (decoded grids and every
+# other column identical to v5; only the index_* blob bytes change)
 
 
 def _flagship_out(sf: float) -> str:

@@ -15,7 +15,8 @@ per-group engine overhead), followed by a tight per-capture kernel:
      (processor.py:361-399);
   4. the 8 vegetation indices on the calibrated float32 bands with the exact
      processor.py:479-550 math, quantized (x+1)·32767.5 → uint16
-     (processor.py:419) and re-encoded as png-format blobs;
+     (processor.py:419) and stored as raw-format GI01 blobs (uncompressed
+     ``<u2`` grid: the parquet page codec is the only compression);
   5. quality metrics: NDVI coverage fractions (indices.py:106-117).
 
 Partitioning assumption: bucket = blake2b(capture_id) % B co-locates each
@@ -71,38 +72,24 @@ def _nan_row(cid, status, n_bands, ref):
     return rec
 
 
-def _one_capture(cid: str, cols: dict, idx: np.ndarray,
-                 index_names=ALL_INDICES,
-                 ndvi_variant="processor") -> dict:
-    """cols: dict of column -> full numpy/object arrays; idx: row indices of
-    this capture's band images (any order)."""
-    bands = cols["band"][idx]
-    order = np.argsort(bands, kind="stable")  # processor.py:325 sorted bands
-    idx = idx[order]
-    bands = bands[order]
-    first = {k: cols[k][idx[0]] for k in
-             ("lat", "lon", "alt_m", "ts_raw", "w", "h", "caption")}
-    if list(bands) != [1, 2, 3, 4, 5]:
-        return _nan_row(cid, "incomplete_set", len(idx), first)
-
-    ref_pos = idx[2]  # band 3 after sort
-    ref = {k: cols[k][ref_pos] for k in
-           ("lat", "lon", "alt_m", "ts_raw", "w", "h", "caption",
-            "west", "north", "px_deg", "py_deg", "has_gps")}
+def _calibrated_stack(cols: dict, idx: np.ndarray):
+    """Steps 2-3 for one complete capture, ``idx`` = its 5 band rows sorted
+    by band: decode (or take the stats stage's ``_px``), align onto the
+    band-3 grid, clip → uint16, calibrate. → float32 (5, H, W), or None
+    when a band does not decode."""
     decoded = []
     pre = cols.get("_px")  # pixels already decoded by the stats stage
     for i in idx:
         px = pre[i] if pre is not None else codec.decode_pixels_only(cols["bytes"][i])
         if px is None:
-            return _nan_row(cid, "failed_decode", 5, first)
+            return None
         decoded.append(px)
-    ref_px = decoded[REFERENCE_BAND - 1]
-    H, W = ref_px.shape
-    have_geo = bool(ref["has_gps"]) and np.isfinite(ref["px_deg"])
+    r = idx[REFERENCE_BAND - 1]
+    H, W = decoded[REFERENCE_BAND - 1].shape
+    have_geo = bool(cols["has_gps"][r]) and np.isfinite(cols["px_deg"][r])
     stack = np.empty((5, H, W), dtype=np.float32)
-    for k, (b, px) in enumerate(zip(bands, decoded)):
-        i = idx[k]
-        if (b == REFERENCE_BAND or not have_geo
+    for k, (i, px) in enumerate(zip(idx, decoded)):
+        if (k == REFERENCE_BAND - 1 or not have_geo
                 or not np.isfinite(cols["px_deg"][i])):
             src = px.astype(np.float32)
             if src.shape != (H, W):
@@ -115,12 +102,31 @@ def _one_capture(cid: str, cols: dict, idx: np.ndarray,
                 px,
                 float(cols["west"][i]), float(cols["north"][i]),
                 float(cols["px_deg"][i]), float(cols["py_deg"][i]),
-                float(ref["west"]), float(ref["north"]),
-                float(ref["px_deg"]), float(ref["py_deg"]),
+                float(cols["west"][r]), float(cols["north"][r]),
+                float(cols["px_deg"][r]), float(cols["py_deg"][r]),
                 H, W)
     aligned_u16 = np.clip(stack, 0, 65535).astype("uint16")   # :345
-    calib_f = indices.calibrate(aligned_u16.astype("float32")).astype("float32")
+    return indices.calibrate(aligned_u16.astype("float32")).astype("float32")
 
+
+def _one_capture(cid: str, cols: dict, idx: np.ndarray,
+                 index_names=ALL_INDICES,
+                 ndvi_variant="processor") -> dict:
+    """cols: dict of column -> full numpy/object arrays; idx: row indices of
+    this capture's band images (any order)."""
+    bands = cols["band"][idx]
+    order = np.argsort(bands, kind="stable")  # processor.py:325 sorted bands
+    idx = idx[order]
+    bands = bands[order]
+    meta_cols = ("lat", "lon", "alt_m", "ts_raw", "w", "h", "caption")
+    first = {k: cols[k][idx[0]] for k in meta_cols}
+    if list(bands) != [1, 2, 3, 4, 5]:
+        return _nan_row(cid, "incomplete_set", len(idx), first)
+    calib_f = _calibrated_stack(cols, idx)
+    if calib_f is None:
+        return _nan_row(cid, "failed_decode", 5, first)
+
+    ref = {k: cols[k][idx[REFERENCE_BAND - 1]] for k in meta_cols}
     rec = _nan_row(cid, "ok", 5, ref)
     ndvi_f = None
     for name in index_names:
@@ -130,7 +136,7 @@ def _one_capture(cid: str, cols: dict, idx: np.ndarray,
         q = indices.quantize_index(val)
         rec[f"mean_{name}"] = float(val.mean())
         rec[f"index_{name}"] = codec.encode_image(
-            q, "png", {"Index": name.upper(), "Capture Id": cid}, level=1)
+            q, "raw", {"Index": name.upper(), "Capture Id": cid})
     if ndvi_f is None:
         ndvi_f = indices.compute_index("ndvi", calib_f, ndvi_variant)
     cov = indices.vegetation_coverage(ndvi_f)
