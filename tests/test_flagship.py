@@ -456,6 +456,32 @@ class TestCaptures:
         # NDVI coverage at 0.2 must be ≥ coverage at 0.5
         assert (okc.coverage_gt_02 >= okc.coverage_gt_05).all()
 
+    def test_index_selection_honored(self, tiny_images_dir, layers_dir,
+                                     flag_out, tmp_path):
+        """``PipelineConfig.indices`` selects the index grids every capture
+        writer stores: with ("ndvi",) only ``index_ndvi``/``mean_ndvi`` are
+        set, identical to the default run's, and the other seven are
+        null."""
+        from tiff_enrichment_pipeline_ray.config import (ALL_INDICES,
+                                                         PipelineConfig)
+
+        out = str(tmp_path / "ndvi_only")
+        flagship.run_flagship(tiny_images_dir, out, resume=False,
+                              layers_dir=layers_dir,
+                              cfg=PipelineConfig(indices=("ndvi",)))
+        caps = flagship.read_captures(out).to_pandas().set_index("capture_id")
+        ok = caps[caps.status == "ok"]
+        assert len(ok) > 0
+        assert ok.index_ndvi.notna().all() and ok.mean_ndvi.notna().all()
+        for name in ALL_INDICES:
+            if name != "ndvi":
+                assert ok[f"index_{name}"].isna().all(), name
+                assert ok[f"mean_{name}"].isna().all(), name
+        full = flagship.read_captures(flag_out[0]).to_pandas() \
+            .set_index("capture_id").loc[ok.index]
+        assert (ok.index_ndvi == full.index_ndvi).all()
+        assert (ok.coverage_gt_02 == full.coverage_gt_02).all()
+
 
 class TestResume:
     def test_byte_identical_after_simulated_kill(self, tiny_images_dir,
@@ -485,27 +511,38 @@ class TestResume:
                     hashlib.sha256(f2.read()).digest(), pa_
 
 
-class TestEnricherVariants:
-    def test_actor_pool_matches_cached_task(self, tiny_images_dir, layers_dir):
-        """The Enricher actor-pool stage and the cached-task stage must
-        produce identical enrichment (same broadcast layers, same kernels)."""
-        import glob as g
+class TestEnrichmentExecution:
+    def test_dataset_matches_in_process_chain(self, tiny_images_dir,
+                                              layers_dir):
+        """The one enrichment execution (``enrich_batch_cached`` with its
+        per-worker ``_WORKER_ENRICHER`` cache, fused into the read/decode
+        task chain) equals the same stages run in-process with a directly
+        built ``Enricher``, row for row."""
+        import pyarrow as pa
 
         from tiff_enrichment_pipeline_ray.config import PipelineConfig
         from tiff_enrichment_pipeline_ray.stages import enrich as E
+        from tiff_enrichment_pipeline_ray.stages.extract import (
+            assign_cells, extract_meta_light, georef, validate)
 
-        files = sorted(g.glob(os.path.join(tiny_images_dir, "*.parquet")))[:2]
-        cfg = PipelineConfig()
-        kw = E.put_layers(layers_dir)
-        cols = ["image_id", "h3_r7", "s2_cell", "landcover_class",
-                "elevation_m", "weather_station_id", "tmin_c"]
-        a = (flagship.enriched_dataset(files, cfg, kw, actor_pool=False)
-             .select_columns(cols).to_pandas()
-             .sort_values("image_id").reset_index(drop=True))
-        b = (flagship.enriched_dataset(files, cfg, kw, actor_pool=True)
-             .select_columns(cols).to_pandas()
-             .sort_values("image_id").reset_index(drop=True))
-        pd.testing.assert_frame_equal(a, b)
+        files = sorted(glob.glob(os.path.join(tiny_images_dir, "*.parquet")))[:2]
+        got = (flagship.enriched_dataset(files, PipelineConfig(),
+                                         E.put_layers(layers_dir))
+               .to_pandas().sort_values("image_id").reset_index(drop=True))
+
+        enricher = E.Enricher(layers=E.load_layers(layers_dir))
+        decode = flagship._make_decode_stats_capture_stage(None)
+        blocks = []
+        for f in files:
+            t = pq.read_table(f)
+            for fn in (extract_meta_light, georef, assign_cells, enricher,
+                       decode, validate):
+                t = fn(t)
+            blocks.append(t)
+        want = (pa.concat_tables(blocks).to_pandas()
+                .sort_values("image_id").reset_index(drop=True))
+        assert len(want) > 0 and want.landcover_class.notna().any()
+        pd.testing.assert_frame_equal(got[want.columns], want)
 
 
 class TestSkew:

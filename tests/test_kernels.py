@@ -329,8 +329,8 @@ class TestConfigFile:
         )
 
         cfg = PipelineConfig.from_dict(
-            {"enrich_weather": False, "batch_size": 256})
-        assert cfg.enrich_weather is False and cfg.batch_size == 256
+            {"enrich_weather": False, "partition_row_budget": 256})
+        assert cfg.enrich_weather is False and cfg.partition_row_budget == 256
         assert cfg.enrich_landcover is True  # default preserved
         p = cfg.save(str(tmp_path / "cfg.json"))
         cfg2 = PipelineConfig.from_file(p)
@@ -341,6 +341,17 @@ class TestConfigFile:
 
         with pytest.raises(ValueError, match="unknown config keys"):
             PipelineConfig.from_dict({"max_workers": 8})
+
+    @pytest.mark.parametrize("key", ["batch_size", "enrich_concurrency",
+                                     "enrich_actor_pool",
+                                     "capture_concurrency"])
+    def test_removed_execution_knobs_rejected(self, key):
+        """The engine has one execution path and no worker-count knobs;
+        configs that still set a removed knob fail loudly."""
+        from tiff_enrichment_pipeline_ray.config import PipelineConfig
+
+        with pytest.raises(ValueError, match="unknown config keys"):
+            PipelineConfig.from_dict({key: 1})
 
     def test_deep_merge_semantics(self):
         from tiff_enrichment_pipeline_ray.config import merge_configs
@@ -356,11 +367,11 @@ class TestConfigFile:
         from tiff_enrichment_pipeline_ray.config import PipelineConfig
 
         p = tmp_path / "settings.yml"
-        p.write_text("enrich_weather: false\nbatch_size: 256\n")
+        p.write_text("enrich_weather: false\npartition_row_budget: 256\n")
         cfg = PipelineConfig.from_file(str(p))
-        assert cfg.enrich_weather is False and cfg.batch_size == 256
+        assert cfg.enrich_weather is False and cfg.partition_row_budget == 256
         cfg2 = PipelineConfig.from_file(
-            str(p), overrides={"batch_size": 512})
-        assert cfg2.batch_size == 512          # override beats file
+            str(p), overrides={"partition_row_budget": 512})
+        assert cfg2.partition_row_budget == 512  # override beats file
         assert cfg2.enrich_weather is False    # file beats default
         assert cfg2.enrich_landcover is True   # default preserved

@@ -276,6 +276,23 @@ def test_dup_clusters_match_union_find(gate):
     assert bool((clusters.is_rep == (clusters.doc_id == clusters.cluster_id)).all())
 
 
+def test_cc_loop_keeps_recursion_limit(gate):
+    """The connected-components loop (_cc_label_prop) runs within CPython's
+    default 1000-frame limit and leaves the process-wide limit as it found
+    it: the per-round lineage cut keeps every round's plan shallow."""
+    from tools.minidriver import to_pandas
+
+    entrymod, _, sf_dir = gate
+    prev = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        clusters = to_pandas(entrymod.queries()["doc_dup_clusters"](sf_dir))
+        assert (clusters.doc_id != clusters.cluster_id).any()  # loop ran
+        assert sys.getrecursionlimit() == 1000
+    finally:
+        sys.setrecursionlimit(prev)
+
+
 def test_px_histogram_matches_brute_force(gate):
     """px_histogram (distributed np.histogram partials + Sum merge) ==
     single-process histogram over every decoded image at sf0.001."""
@@ -324,17 +341,15 @@ class TestPreaggSpec:
         [("s1", "x", "sum"), ("s2", "x", "sum")],
         [("n1", None, "count"), ("n2", None, "count")],
     ], ids=["same_src_op", "two_count_all"])
-    def test_duplicate_spec_rejected(self, spec, monkeypatch):
+    def test_duplicate_spec_rejected(self, spec):
         from tiff_enrichment_pipeline_ray.pipelines.queries import _preagg
 
-        monkeypatch.delenv("GRAFT_PREAGG", raising=False)
         with pytest.raises(AssertionError):
             _preagg(self._ds(), ["k"], spec).to_pandas()
 
-    def test_distinct_spec_aggregates(self, monkeypatch):
+    def test_distinct_spec_aggregates(self):
         from tiff_enrichment_pipeline_ray.pipelines.queries import _preagg
 
-        monkeypatch.delenv("GRAFT_PREAGG", raising=False)
         spec = [("s", "x", "sum"), ("mx", "x", "max"),
                 ("n", None, "count"), ("nx", "x", "count")]
         got = _preagg(self._ds(), ["k"], spec).to_pandas().sort_values("k")

@@ -60,8 +60,9 @@ class PipelineConfig:
     """Declarative config for the flagship pipeline.
 
     Same toggle surface as the reference's ``create_default``
-    (core/config.py:16-100): per-index booleans, QC on/off, processing knobs —
-    restated for Ray Data (actor-pool sizing instead of max_workers).
+    (core/config.py:16-100): per-index selection, QC on/off, partitioning
+    knobs. There are no worker-count knobs (the reference's max_workers):
+    Ray Data sizes the one fused task stage to the cluster.
     """
 
     # vegetation index toggles (all on by default, like main.py:141-150)
@@ -75,14 +76,6 @@ class PipelineConfig:
     enrich_landcover: bool = True
     enrich_elevation: bool = True
     enrich_weather: bool = True
-    # Ray execution knobs
-    batch_size: int = 1024
-    # 0 = auto-size the actor pool (cluster CPUs / 2) when enrich_actor_pool
-    # is on; the default execution uses the cached-task enricher instead
-    # (fuses with the read/decode chain, elastic across all CPUs)
-    enrich_concurrency: int = 0
-    enrich_actor_pool: bool = False
-    capture_concurrency: int = 0  # 0 = let Ray size the groupby stage
     # skew / partitioning
     partition_row_budget: int = DEFAULT_PARTITION_ROW_BUDGET
     cell_partition_res: int = 5  # coarse hex res used as the output partition key

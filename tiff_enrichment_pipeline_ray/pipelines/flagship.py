@@ -5,27 +5,24 @@ Ray-Data-first restatement of the reference's full run
 regular branch → summary/validation), as ONE streaming DAG per checkpoint
 partition:
 
-  read_parquet(images, pruned)
-    → map_batches(extract_meta)            # decode+EXIF+stats   ┐ ONE fused
-    → map_batches(georef)                  # GSD/affine          │ task per
-    → map_batches(validate)                # issue columns       │ block,
-    → map_batches(assign_cells)            # hex7 r5-9 + S2 + grid │ elastic
-    → map_batches(enrich_batch_cached)     # PIP + elev + kNN    │ across all
-    → map_batches(capture_split_stage)     # complete-in-block   │ CPUs
-      #  captures: align/calibrate/8 indices computed + written  │ (worker-
-      #  HERE (no shuffle); orphan rows spilled; bytes dropped   ┘  cached
-      #                                                             indexes)
+  fragment read (file, row group)          # bytes never cross the  ┐ ONE fused
+    → map_batches(extract_meta_light)      # header + EXIF          │ task per
+    → map_batches(georef)                  # GSD/affine             │ block,
+    → map_batches(assign_cells)            # hex7 r5-9 + S2 + grid  │ elastic
+    → map_batches(enrich_batch_cached)     # PIP + elev + kNN       │ across all
+    → map_batches(decode_stage)            # decode + pixel stats;  │ CPUs
+      #  complete-in-block captures: align/calibrate/indices        │ (worker-
+      #  computed + written HERE (no shuffle); orphan rows spilled; │  cached
+      #  bytes dropped                                              │ indexes)
+    → map_batches(validate)                # issue columns          ┘
     → add part_key (salted range bins)     # skew-bounded layout
+    → repartition(coalesce)
     → groupby(part_key).map_groups(write)  # partitioned parquet + lineage
 
   read_parquet(orphan spill, tiny)         # block-boundary + incomplete sets
-    → groupby(capture bucket).map_groups(process_bucket) → captures/
+    → groupby('o:<capture bucket>').map_groups(process_bucket) → captures/
 
-(The `Enricher` actor-pool variant of the enrichment stage is selectable via
-PipelineConfig.enrich_actor_pool — identical results, used when state must
-pin accelerators; the default cached-task form fuses the entire per-row chain
-into one task stage. The skew census runs first as a sampled header-only
-pass.)
+The skew census runs first as a sampled header-only pass.
 
 Checkpoint/resume: partitions = deterministic groups of input files; each
 commits atomically then appends a manifest line (state/manifest.py). A re-run
@@ -44,14 +41,13 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-from ..config import PipelineConfig
+from ..config import ALL_INDICES, PipelineConfig
 from ..functions import codec
 from ..sources import synth
 from ..stages import capture as capture_stage
 from ..stages import enrich as enrich_stage
 from ..stages.extract import (
     assign_cells,
-    extract_meta,
     extract_meta_light,
     georef,
     validate,
@@ -65,13 +61,14 @@ ENRICHED_DROP = ["bytes"]
 
 def _make_part_writer(out_dir: str, caps_dir: str | None = None,
                       fail_dir: str | None = None,
-                      ndvi_variant: str = "processor"):
-    """map_groups writer for the single shuffle. Enriched partitions
-    ('<bin>[:salt]' keys): one parquet file per salted partition, sorted by
-    image_id (deterministic), atomic tmp+rename. Orphan-capture partitions
-    ('o:<bucket>' keys — duplicated rows carrying orph_bytes): run the
-    per-capture kernel and write into ``caps_dir`` instead. Both return a
-    lineage row (kind column).
+                      ndvi_variant: str = "processor",
+                      index_names: tuple = ALL_INDICES):
+    """map_groups writer for both exchanges. Enriched partitions of the main
+    shuffle ('<bin>[:salt]' keys): one parquet file per salted partition,
+    sorted by image_id (deterministic), atomic tmp+rename. Orphan-capture
+    partitions of the orphan pass ('o:<bucket>' keys — spilled rows carrying
+    orph_bytes): run the per-capture kernel and write into ``caps_dir``
+    instead. Both return a lineage row (kind column).
 
     When ``fail_dir`` is set, unreadable rows (decode_ok=False) are routed to
     a quarantine partition there instead of the enriched output — the
@@ -83,7 +80,8 @@ def _make_part_writer(out_dir: str, caps_dir: str | None = None,
         key = key_raw.replace(":", "_")
         if key_raw.startswith("o:") and caps_dir is not None:
             cg = g.rename(columns={"orph_bytes": "bytes"})
-            res = capture_stage.process_bucket(cg, ndvi_variant=ndvi_variant)
+            res = capture_stage.process_bucket(cg, index_names=index_names,
+                                               ndvi_variant=ndvi_variant)
             final = os.path.join(caps_dir, f"{key}.parquet")
             _write_captures(res, final)
             cells = g["h3_r5"].to_numpy()
@@ -94,8 +92,6 @@ def _make_part_writer(out_dir: str, caps_dir: str | None = None,
                 "file": os.path.basename(final),
             }])
         g = g.sort_values("image_id").reset_index(drop=True)
-        if "orph_bytes" in g.columns:
-            g = g.drop(columns=["orph_bytes"])
         lineage_rows = []
         if fail_dir is not None:
             bad = g[~g["decode_ok"]]
@@ -136,32 +132,6 @@ _LINEAGE_COLS = {"part_key": str, "kind": str, "rows": np.int64,
                  "h3_lo": np.int64, "h3_hi": np.int64, "file": str}
 
 
-def _make_block_writer(out_dir: str, caps_dir: str | None = None,
-                       fail_dir: str | None = None,
-                       ndvi_variant: str = "processor"):
-    """Block-wise form of the partition writer, used after a HASH exchange
-    (`repartition(keys=["part_key"], sort=False)`): the hash shuffle
-    co-locates every row of a key in one block, so grouping inside the
-    block replaces the global sort the groupby().map_groups shuffle would
-    perform — the sort's sample pass and serial-ish merge were the largest
-    non-scaling term of the pipeline tail (measured at sf0.4/16 CPUs: ~40 s
-    after the map chain drained). Output files are byte-identical to the
-    map_groups path: the per-group writer itself sorts by image_id."""
-    part_writer = _make_part_writer(out_dir, caps_dir=caps_dir,
-                                    fail_dir=fail_dir,
-                                    ndvi_variant=ndvi_variant)
-
-    def block_writer(df: pd.DataFrame) -> pd.DataFrame:
-        outs = [part_writer(g.reset_index(drop=True))
-                for _, g in df.groupby("part_key", sort=True)]
-        if not outs:
-            return pd.DataFrame({k: pd.Series(dtype=v)
-                                 for k, v in _LINEAGE_COLS.items()})
-        return pd.concat(outs, ignore_index=True)
-
-    return block_writer
-
-
 def tune_data_context():
     """Raise the streaming executor's object-store budget to what the node
     actually has: the default conservative cap throttles read/map concurrency
@@ -188,21 +158,11 @@ def tune_data_context():
     return ctx
 
 
-def _enrich_concurrency(cfg: PipelineConfig) -> int:
-    """Size the enrichment actor pool. Ray fuses the whole stateless
-    map_batches chain into this stage, so the pool does ~all per-row compute:
-    give it CPUs−2 (auto), leaving slots for the read and the shuffle/write.
-    A pool that reserves every CPU starves those and serializes (ray_guide);
-    an explicit cfg value is still clamped to half the cluster."""
-    import ray
-
-    cpus = int(ray.cluster_resources().get("CPU", 8))
-    if cfg.enrich_concurrency <= 0:
-        # captures are processed in the TASK stage downstream of this pool
-        # (fused single pass): split the node between the pool (decode/
-        # enrich) and the tasks (capture align/indices + partitioned write)
-        return max(1, cpus // 2)
-    return max(1, min(cfg.enrich_concurrency, max(1, cpus // 2)))
+# ~2048 rows/block measured fastest at sf0.4/16 CPUs (141 s vs 163 s at
+# 4096 and 150 s at 1024): smaller decode tasks bound straggler length and
+# per-task heap (the task holds the block's decoded pixels), and the
+# post-map coalesce keeps the shuffle width independent of this choice.
+MAP_ROWS_PER_BLOCK = 2048
 
 
 def _fused_read(files, rows_per_block: int, cpus: int, est_rows: int):
@@ -253,68 +213,44 @@ def _fused_read(files, rows_per_block: int, cpus: int, est_rows: int):
 
 def enriched_dataset(files, cfg: PipelineConfig, layer_kwargs: dict,
                      caps_dir: str | None = None,
-                     actor_pool: bool | None = None,
                      orph_dir: str | None = None):
     """Build the lazy enriched Dataset over the given input files (full
     schema: metadata + georef + cells + enrichment + pixel stats +
     validation). When ``caps_dir`` is given, complete-in-block captures are
     processed and written as a side effect of the single decode stage and
-    orphan rows are spilled to ``orphan_dir`` (see
+    orphan rows are spilled to ``orph_dir`` (see
     _make_decode_stats_capture_stage).
 
     Enrichment state (STRtree, kNN buckets, elevation grid) is broadcast via
-    ``ray.put`` and built once per worker. Two equivalent executions:
-    - default: cached-task stage (`enrich_batch_cached`) — fuses with the
-      whole stateless chain into one task per block, elastic across all CPUs;
-    - ``actor_pool=True`` (or cfg.enrich_actor_pool): explicit
-      ``map_batches(Enricher, concurrency=N)`` pool — the shape to use when
-      the state must pin accelerators or serve long-lived connections.
-    Results are identical (tested)."""
+    ``ray.put`` and built once per worker process by ``enrich_batch_cached``,
+    a plain task that fuses with the whole stateless chain into one task per
+    block, elastic across all CPUs."""
     import ray
-    import ray.data as rd
 
-    if actor_pool is None:
-        actor_pool = cfg.enrich_actor_pool
-    # block sizing: ~4k rows per block (data-sized, cluster-independent),
-    # floored at 4 blocks/CPU for small inputs. Over-splitting makes the
-    # part_key shuffle pay O(blocks × partitions) object fetches (measured
-    # 43→30 s at 500k rows); huge blocks make the decode stage hold too many
-    # decoded pixels per task.
+    # block sizing: MAP_ROWS_PER_BLOCK rows per block (data-sized,
+    # cluster-independent); the plain-read fallback floors it at 4
+    # blocks/CPU for small inputs
     cpus = int(ray.cluster_resources().get("CPU", 8))
     try:
         est_rows = sum(pq.read_metadata(f).num_rows for f in files)
     except Exception:
         est_rows = 0
-    # ~2048 rows/block measured fastest at sf0.4/16 CPUs (141 s vs 163 s at
-    # 4096 and 150 s at 1024): smaller decode tasks bound straggler length
-    # and per-task heap (the task holds the block's decoded pixels), and the
-    # post-map coalesce keeps the shuffle width independent of this choice.
-    rows_per_block = int(os.environ.get("GRAFT_MAP_ROWS_PER_BLOCK", "2048"))
-    ds = _fused_read(files, rows_per_block, cpus, est_rows)
+    ds = _fused_read(files, MAP_ROWS_PER_BLOCK, cpus, est_rows)
     ds = ds.map_batches(extract_meta_light, batch_format="pyarrow", batch_size=None)
     ds = ds.map_batches(georef, batch_format="pyarrow", batch_size=None)
     ds = ds.map_batches(assign_cells, batch_format="pyarrow", batch_size=None)
-    if actor_pool:
-        ds = ds.map_batches(
-            enrich_stage.Enricher,
-            fn_constructor_kwargs=layer_kwargs,
-            batch_format="pyarrow",
-            batch_size=None,
-            concurrency=_enrich_concurrency(cfg),
-            num_cpus=1,
-        )
-    else:
-        ds = ds.map_batches(
-            enrich_stage.enrich_batch_cached,
-            fn_kwargs=layer_kwargs,
-            batch_format="pyarrow",
-            batch_size=None,
-        )
+    ds = ds.map_batches(
+        enrich_stage.enrich_batch_cached,
+        fn_kwargs=layer_kwargs,
+        batch_format="pyarrow",
+        batch_size=None,
+    )
     # the ONE pixel-decode stage (stats + in-block captures), then the
     # validators that depend on the decoded stats
     ds = ds.map_batches(
         _make_decode_stats_capture_stage(caps_dir, orph_dir,
-                                         ndvi_variant=cfg.ndvi_variant),
+                                         ndvi_variant=cfg.ndvi_variant,
+                                         index_names=cfg.indices),
         batch_format="pyarrow", batch_size=None)
     if cfg.validate:
         ds = ds.map_batches(validate, batch_format="pyarrow", batch_size=None)
@@ -350,7 +286,8 @@ def _pixel_stats(px: np.ndarray) -> tuple:
 
 def _make_decode_stats_capture_stage(caps_dir: str | None,
                                      orph_dir: str | None = None,
-                                     ndvi_variant: str = "processor"):
+                                     ndvi_variant: str = "processor",
+                                     index_names: tuple = ALL_INDICES):
     """The ONE pixel-decode stage of the main pass. Per block:
 
     - decode every row's payload once → per-image stats columns
@@ -436,7 +373,8 @@ def _make_decode_stats_capture_stage(caps_dir: str | None,
                 done, orphans = capture_stage.split_local_complete(mica)
                 if len(done):
                     res = capture_stage.process_bucket(
-                        done, ndvi_variant=ndvi_variant)
+                        done, index_names=index_names,
+                        ndvi_variant=ndvi_variant)
                     tag = _h.blake2b("|".join(sorted(res["capture_id"])).encode(),
                                      digest_size=10).hexdigest()
                     _write_captures(
@@ -526,12 +464,13 @@ def assert_worker_reachable(path: str) -> None:
 
 
 def _resolve_orphans(orph_tmp: str, tmp_dir: str, cap_tmp: str,
-                     ndvi_variant: str = "processor"):
+                     ndvi_variant: str = "processor",
+                     index_names: tuple = ALL_INDICES):
     """Second (tiny) exchange: spilled orphan rows → capture parquet.
 
     Reads the per-task spill files (~2% of input rows), co-locates each
-    capture's bands by the bucketed part_key and runs the same partition
-    writer the main shuffle used to run for 'o:*' groups. Returns the
+    capture's bands by the bucketed part_key and runs the partition
+    writer's 'o:*' branch (the capture kernel) per group. Returns the
     lineage DataFrame (kind='captures'), empty if there were no orphans.
     Scale: the exchange carries only orphan payloads — bounded by the
     capture-set boundary-straddle rate, not the corpus."""
@@ -558,17 +497,10 @@ def _resolve_orphans(orph_tmp: str, tmp_dir: str, cap_tmp: str,
     ods = ods.map_batches(
         lambda t, _b=buckets: _add_orphan_key(t, orphan_buckets=_b),
         batch_format="pyarrow", batch_size=None)
-    if os.environ.get("GRAFT_TAIL", "sort") == "hash":
-        grouped = ods.repartition(num_blocks=buckets, keys=["part_key"],
-                                  sort=False).map_batches(
-            _make_block_writer(tmp_dir, caps_dir=cap_tmp,
-                               ndvi_variant=ndvi_variant),
-            batch_format="pandas", batch_size=None)
-    else:
-        grouped = ods.groupby("part_key").map_groups(
-            _make_part_writer(tmp_dir, caps_dir=cap_tmp,
-                              ndvi_variant=ndvi_variant),
-            batch_format="pandas")
+    grouped = ods.groupby("part_key").map_groups(
+        _make_part_writer(tmp_dir, caps_dir=cap_tmp,
+                          ndvi_variant=ndvi_variant, index_names=index_names),
+        batch_format="pandas")
     return grouped.to_pandas()
 
 
@@ -605,24 +537,6 @@ def _cap_cells(t: pa.Table) -> pa.Table:
     return out
 
 
-def capture_dataset(files, cfg: PipelineConfig):
-    """Lazy full-shuffle variant (kept for API completeness/tests)."""
-    import ray.data as rd
-
-    ds = rd.read_parquet(files)
-    ds = ds.map_batches(extract_meta_light, batch_format="pyarrow", batch_size=None)
-    ds = ds.map_batches(georef, batch_format="pyarrow", batch_size=None)
-    ds = ds.map_batches(
-        lambda t: t.filter(
-            pa.compute.equal(t.column("file_class"), pa.scalar("micasense"))),
-        batch_format="pyarrow")
-    ds = ds.select_columns(capture_stage.CAPTURE_SHUFFLE_COLS)
-    ds = ds.map_batches(capture_stage.add_capture_bucket, batch_format="pandas")
-    grouped = ds.groupby("bucket").map_groups(
-        capture_stage.process_bucket, batch_format="pandas")
-    return grouped.map_batches(_cap_cells, batch_format="pyarrow")
-
-
 def run_flagship(input_dir: str, out_dir: str,
                  cfg: PipelineConfig | None = None,
                  checkpoint_partitions: int = 1,
@@ -640,39 +554,6 @@ def run_flagship(input_dir: str, out_dir: str,
     files = sorted(glob.glob(os.path.join(input_dir, "*.parquet")))
     if not files:
         raise FileNotFoundError(f"no parquet in {input_dir}")
-    # the GRAFT_TAIL=hash variant's key-based repartition requires the
-    # hash shuffle strategy; Datasets capture the context at CREATION time,
-    # so flip it for the whole run and restore on exit. The default sort
-    # tail must NOT run under HASH_SHUFFLE: it silently switches groupby to
-    # CPU-reserving hash aggregators (observed: deadlocks a 4-CPU session).
-    from ray.data import DataContext
-    from ray.data.context import ShuffleStrategy
-
-    _ctx = DataContext.get_current()
-    _prev_strategy = _ctx.shuffle_strategy
-    _prev_agg_cpus = _ctx.hash_shuffle_operator_actor_num_cpus_per_partition_override
-    if os.environ.get("GRAFT_TAIL", "sort") == "hash":
-        _ctx.shuffle_strategy = ShuffleStrategy.HASH_SHUFFLE
-        # aggregator actors must reserve ZERO logical CPUs or they starve
-        # the map tasks on small sessions (observed: a 4-CPU run sat 97%
-        # idle for 30 min — the same livelock _dsjoin dodges with
-        # aggregator_ray_remote_args={"num_cpus": 0}); their combine work
-        # is bounded by the shuffle's memory backpressure, not CPU slots
-        _ctx.hash_shuffle_operator_actor_num_cpus_per_partition_override = 0.0
-    try:
-        return _run_flagship_inner(
-            input_dir, out_dir, cfg, checkpoint_partitions, resume,
-            with_captures, layers_dir, limit_partitions, files)
-    finally:
-        _ctx.shuffle_strategy = _prev_strategy
-        _ctx.hash_shuffle_operator_actor_num_cpus_per_partition_override = \
-            _prev_agg_cpus
-
-
-def _run_flagship_inner(input_dir, out_dir, cfg, checkpoint_partitions,
-                        resume, with_captures, layers_dir, limit_partitions,
-                        files):
-    import glob
     manifest = Manifest(out_dir)
     if not resume:
         for sub in ("enriched", "captures", "failed", "ops"):
@@ -744,21 +625,9 @@ def _run_flagship_inner(input_dir, out_dir, cfg, checkpoint_partitions,
         enriched = enriched.map_batches(
             lambda t, _s=salts: add_part_key(t, _s, f"h3_r{cfg.cell_partition_res}"),
             batch_format="pyarrow")
-        # ONE all-to-all exchange of the slim (bytes-free) rows. Two
-        # equivalent tails (byte-identical output, tested):
-        # - sort (default): coalesce + groupby(part_key).map_groups —
-        #   Ray's sort-based shuffle. Coalescing first kills the
-        #   O(map_blocks × reduce_partitions) fetch term.
-        # - hash (GRAFT_TAIL=hash): repartition(keys=[part_key],
-        #   sort=False) + in-block grouping. A/B at sf0.4/16 CPUs measured
-        #   it SLOWER here (240 s vs 191 s; the aggregator hop costs more
-        #   than the sort's sample+merge saves on this single node), kept
-        #   as the multi-node candidate — on a real cluster the hash
-        #   exchange streams into aggregators instead of barriering on the
-        #   global sort sample.
-        coal = int(os.environ.get("GRAFT_SHUFFLE_BLOCKS", "0"))
-        if coal == 0:
-            coal = int(max(2 * cpus, min(est_rows // 50_000, 8 * cpus)))
+        # ONE all-to-all exchange of the slim (bytes-free) rows; coalescing
+        # first kills the O(map_blocks × reduce_partitions) fetch term
+        coal = int(max(2 * cpus, min(est_rows // 50_000, 8 * cpus)))
         part_dir = os.path.join(out_dir, "enriched", f"part={pid:05d}")
         tmp_dir = part_dir + ".tmp"
         fail_part = os.path.join(out_dir, "failed", f"part={pid:05d}")
@@ -766,24 +635,10 @@ def _run_flagship_inner(input_dir, out_dir, cfg, checkpoint_partitions,
         for d in (tmp_dir, part_dir, fail_tmp, fail_part):
             shutil.rmtree(d, ignore_errors=True)
         os.makedirs(fail_tmp, exist_ok=True)
-        if os.environ.get("GRAFT_TAIL", "sort") == "hash":
-            shuffled = enriched.repartition(num_blocks=coal,
-                                            keys=["part_key"], sort=False)
-            grouped = shuffled.map_batches(
-                _make_block_writer(
-                    tmp_dir, caps_dir=cap_tmp if with_captures else None,
-                    fail_dir=fail_tmp, ndvi_variant=cfg.ndvi_variant),
-                batch_format="pandas", batch_size=None)
-        else:
-            if coal > 0:
-                enriched = enriched.repartition(coal)
-            grouped = (enriched.groupby("part_key")
-                       .map_groups(_make_part_writer(
-                           tmp_dir,
-                           caps_dir=cap_tmp if with_captures else None,
-                           fail_dir=fail_tmp,
-                           ndvi_variant=cfg.ndvi_variant),
-                           batch_format="pandas"))
+        grouped = (enriched.repartition(coal)
+                   .groupby("part_key")
+                   .map_groups(_make_part_writer(tmp_dir, fail_dir=fail_tmp),
+                               batch_format="pandas"))
         lineage = grouped.to_pandas()
         enrich_write_s = time.time() - t_ph
         phases["enrich_write"] += enrich_write_s
@@ -791,7 +646,8 @@ def _run_flagship_inner(input_dir, out_dir, cfg, checkpoint_partitions,
         orph_rows = 0
         if with_captures:
             orph_lineage = _resolve_orphans(orph_tmp, tmp_dir, cap_tmp,
-                                            ndvi_variant=cfg.ndvi_variant)
+                                            ndvi_variant=cfg.ndvi_variant,
+                                            index_names=cfg.indices)
             if len(orph_lineage):
                 orph_rows = int(orph_lineage["rows"].sum())
                 lineage = pd.concat([lineage, orph_lineage],
@@ -810,10 +666,8 @@ def _run_flagship_inner(input_dir, out_dir, cfg, checkpoint_partitions,
         caps = 0
         if with_captures:
             os.replace(cap_tmp, cap_part)
-            import glob as _g
-
             caps = sum(pq.read_metadata(f).num_rows
-                       for f in _g.glob(os.path.join(cap_part, "*.parquet")))
+                       for f in glob.glob(os.path.join(cap_part, "*.parquet")))
         caps_s = time.time() - t_ph
         phases["captures"] += caps_s
         manifest.commit(pid, part_files, rows, caps, t_start,

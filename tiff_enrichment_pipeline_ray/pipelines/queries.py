@@ -41,7 +41,7 @@ def _preagg(ds, keys, spec):
     """spec: [(out_col, src_col|None, op)] with op ∈ sum|count|min|max.
     count with src None = COUNT(*). Returns the aggregated Dataset.
 
-    Two-stage hash aggregate: per-block pandas partials, then a shuffle on a
+    Two-stage hash aggregate: per-block arrow partials, then a shuffle on a
     single int32 hash-partition key and a vectorized pandas combine per
     partition.  Shuffling on ``_pk`` instead of the raw (possibly multi-
     string) key matters: Ray's sort-based Aggregate combine walks rows in
@@ -54,23 +54,6 @@ def _preagg(ds, keys, spec):
     keys = list(keys)
     npart = max(8, int(ray.cluster_resources().get("CPU", 8)))
 
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby(keys, dropna=False, sort=False)
-        cols = {}
-        for out, src, op in spec:
-            if op == "count":
-                cols[out] = g.size() if src is None else g[src].count()
-            elif op == "sum":
-                cols[out] = g[src].sum()
-            elif op == "min":
-                cols[out] = g[src].min()
-            elif op == "max":
-                cols[out] = g[src].max()
-        out = pd.DataFrame(cols).reset_index()
-        out["_pk"] = (pd.util.hash_pandas_object(out[keys], index=False)
-                      % npart).astype("int32")
-        return out
-
     def combine(df: pd.DataFrame) -> pd.DataFrame:
         g = df.groupby(keys, dropna=False, sort=False)
         cols = {}
@@ -80,15 +63,12 @@ def _preagg(ds, keys, spec):
             cols[out] = getattr(g[out], red)()
         return pd.DataFrame(cols).reset_index()
 
-    def partial_arrow(t: pa.Table) -> pa.Table:
+    def partial(t: pa.Table) -> pa.Table:
         """Arrow-native partial: zero-copy block in, pyarrow hash-group
-        kernel, no block-wide pandas conversion. Only the (one row per
-        group) OUTPUT touches pandas — for the _pk hash, identical to the
-        pandas path. A/B at sf0.1/32, two campaigns, best-of-3 each
-        (BASELINE.md round 5): q1 +21%, events_hourly +12%,
-        events_user_daily +6.5%, events_rollup −3% (noise) → DEFAULT;
-        GRAFT_PREAGG=pandas restores the old path. All _preagg consumers
-        re-verified hash-exact under the arrow path (minidriver --hash)."""
+        kernel, no block-wide pandas conversion; only the (one row per
+        group) OUTPUT touches pandas, for the _pk hash. Faster than a
+        pandas-groupby partial at sf0.1/32 (BASELINE.md round 5: q1 +21%,
+        events_hourly +12%)."""
         aggs = []
         names = {}
         for out, src, op in spec:
@@ -105,19 +85,15 @@ def _preagg(ds, keys, spec):
                       % npart).astype("int32")
         return pa.Table.from_pandas(out, preserve_index=False)
 
+    # partial names pyarrow's output columns back by (src, op), so a
+    # repeated pair — two COUNT(*) entries are (None, "count") twice —
+    # would be mislabeled silently
+    pairs = [(src, op) for _out, src, op in spec]
+    assert len(set(pairs)) == len(pairs), \
+        f"_preagg spec repeats a (src, op) pair: {pairs}"
     # whole-block partials: combining works at block granularity (a 1024-row
     # default batch barely combines on high-cardinality keys)
-    if os.environ.get("GRAFT_PREAGG", "arrow") == "arrow":
-        # partial_arrow names pyarrow's output columns back by (src, op), so
-        # a repeated pair — two COUNT(*) entries are (None, "count") twice —
-        # would be mislabeled silently
-        pairs = [(src, op) for _out, src, op in spec]
-        assert len(set(pairs)) == len(pairs), \
-            f"_preagg spec repeats a (src, op) pair: {pairs}"
-        pds = ds.map_batches(partial_arrow, batch_format="pyarrow",
-                             batch_size=None)
-    else:
-        pds = ds.map_batches(partial, batch_format="pandas", batch_size=None)
+    pds = ds.map_batches(partial, batch_format="pyarrow", batch_size=None)
     return pds.groupby("_pk").map_groups(
         lambda df: combine(df.drop(columns=["_pk"])), batch_format="pandas")
 
@@ -7380,15 +7356,6 @@ def _cc_label_prop(labels, edges, n_nodes: int, n_edges: int,
     convergence aggregate. Returns the converged labels Dataset."""
     if n_edges == 0:
         return labels
-    import sys
-
-    # Ray Data's stats summarizer walks operator lineage recursively;
-    # a long loop (deep-diameter graphs before the shortcut below, or a
-    # high round cap) can exceed CPython's default 1000 frames — raise
-    # the limit rather than truncating the loop (observed: RecursionError
-    # in stats.to_summary on a 74k-node mosaic component at sf0.1)
-    if sys.getrecursionlimit() < 20_000:
-        sys.setrecursionlimit(20_000)
     nbk = _nbuckets(n_edges + n_nodes, rows_per_bucket=4096, lo=16)
     lbl_blocks = _nbuckets(n_nodes, rows_per_bucket=500_000, lo=8)
 

@@ -1,10 +1,13 @@
-"""Stage 6: per-capture MicaSense processing — bucketed groupby.map_groups.
+"""Stage 6: per-capture MicaSense processing.
 
 The capture-set assembly that the reference does with filename grouping +
-sequential loops (main.py:268-292, processor.py:177-298) becomes ONE shuffle
-keyed on a hash BUCKET of capture_id (all 5 bands of a capture land in the
-same bucket; ~B groups instead of ~n_captures groups, amortizing the
-per-group engine overhead), followed by a tight per-capture kernel:
+sequential loops (main.py:268-292, processor.py:177-298) happens without a
+shuffle for captures whose five bands share a block (split_local_complete,
+run inside the flagship's decode stage); the remaining orphan rows are
+co-located by a hash BUCKET of capture_id (all 5 bands of a capture land in
+the same bucket; ~B groups instead of ~n_captures groups, amortizing the
+per-group engine overhead). Either way a bucket goes through one tight
+per-capture kernel (process_bucket):
 
   1. complete-set check (5 bands, J6 semantics: main.py:90-99) — incomplete
      sets emit a status row instead of raising;
@@ -13,20 +16,20 @@ per-group engine overhead), followed by a tight per-capture kernel:
      (identity path); clip → uint16;
   3. radiometric calibration ×10000 clip [0,65535] → uint16
      (processor.py:361-399);
-  4. the 8 vegetation indices on the calibrated float32 bands with the exact
+  4. the selected vegetation indices (all 8 by default; PipelineConfig
+     .indices) on the calibrated float32 bands with the exact
      processor.py:479-550 math, quantized (x+1)·32767.5 → uint16
      (processor.py:419) and stored as raw-format GI01 blobs (uncompressed
      ``<u2`` grid: the parquet page codec is the only compression);
   5. quality metrics: NDVI coverage fractions (indices.py:106-117).
 
-Partitioning assumption: bucket = blake2b(capture_id) % B co-locates each
-capture's bands; B is sized so a bucket's decoded pixels fit a worker heap.
+Partitioning assumption: the orphan bucket (flagship._add_orphan_key)
+co-locates each capture's bands; B scales with orphan volume so a bucket's
+decoded pixels fit a worker heap.
 Band order inside the stack is sorted band number (processor.py:325).
 """
 
 from __future__ import annotations
-
-import hashlib
 
 import numpy as np
 import pandas as pd
@@ -34,18 +37,6 @@ import pandas as pd
 from ..config import ALL_INDICES, REFERENCE_BAND
 from ..functions import codec, indices
 from ..functions.raster import affine_bilinear_resample
-
-N_CAPTURE_BUCKETS = 16
-
-
-def add_capture_bucket(df: pd.DataFrame) -> pd.DataFrame:
-    df = df.copy()
-    df["bucket"] = [
-        int.from_bytes(hashlib.blake2b(c.encode(), digest_size=4).digest(),
-                       "big") % N_CAPTURE_BUCKETS
-        for c in df["capture_id"]
-    ]
-    return df
 
 
 def _f(v):
@@ -167,21 +158,15 @@ def process_bucket(df: pd.DataFrame, index_names=ALL_INDICES,
     return pd.DataFrame(rows)
 
 
-# compatibility shim for single-capture tests
-def process_capture(group: pd.DataFrame, index_names=ALL_INDICES,
-                    ndvi_variant="processor") -> pd.DataFrame:
-    return process_bucket(group, index_names, ndvi_variant)
-
-
 def split_local_complete(df: pd.DataFrame):
     """Split a block's rows into (complete-in-block captures, orphan rows).
 
     A capture has ≤1 row per band (image_id is unique), so a capture whose
     full band set {1..5} appears inside one block is globally complete and
     can be processed WITHOUT any shuffle; rows of captures only partially
-    present in this block are orphans, shuffled by capture bucket and decided
-    globally (complete vs incomplete_set). This keeps the wide `bytes`
-    column out of the all-to-all exchange for co-located captures —
+    present in this block are orphans, spilled and bucketed by capture_id,
+    then decided globally (complete vs incomplete_set). This keeps the wide
+    `bytes` column out of the main exchange for co-located captures —
     SURVEY §7.4-3 (never shuffle pixels when metadata suffices).
     """
     cid = df["capture_id"].to_numpy()
@@ -198,8 +183,9 @@ def split_local_complete(df: pd.DataFrame):
     return df[complete_mask], df[~complete_mask]
 
 
-# slim column set shipped through the capture shuffle (bytes dominate; every
-# other wide column is dropped before the groupby — SURVEY §7.4-3)
+# slim column set the capture kernel reads, and the orphan spill carries
+# through its capture-bucket exchange (bytes dominate; every other wide
+# column is dropped before the groupby — SURVEY §7.4-3)
 CAPTURE_SHUFFLE_COLS = [
     "capture_id", "image_id", "band", "bytes", "w", "h", "decode_ok",
     "has_gps", "lat", "lon", "alt_m", "ts_raw", "caption",

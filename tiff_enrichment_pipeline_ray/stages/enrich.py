@@ -1,11 +1,12 @@
-"""Stage 5: point enrichment — the actor-pool spatial joins.
+"""Stage 5: point enrichment — the worker-cached spatial joins.
 
 Replaces the reference's external-API + PostGIS/Redis enrichment stack
 (reference: scripts/create-tables.sql:118-161 — elevation_meters + source,
 weather_data JSONB keyed by weather_historical_date, land_cover class/
 confidence/year; Redis response cache per README.md:122-123). All three layers
-are broadcast once via ``ray.put`` and pinned per actor (`__init__`), so the
-network cache collapses into actor memory (SURVEY §2.3 T2/T4/T5/T6):
+are broadcast once via ``ray.put`` and their indexes built once per worker
+process (``enrich_batch_cached``), so the network cache collapses into worker
+memory (SURVEY §2.3 T2/T4/T5/T6):
 
 - land-cover: STRtree point-in-polygon join (functions.pip.PolygonIndex),
   deterministic min-polygon_id tie-break;
@@ -18,8 +19,11 @@ network cache collapses into actor memory (SURVEY §2.3 T2/T4/T5/T6):
 
 Usage:
     refs = put_layers(layers_dir)           # once, on the driver
-    ds = ds.map_batches(Enricher, fn_constructor_kwargs=refs,
-                        batch_format="pyarrow", concurrency=N)
+    ds = ds.map_batches(enrich_batch_cached, fn_kwargs=refs,
+                        batch_format="pyarrow", batch_size=None)
+
+In-process (tests, the benchmark's traced chain): ``Enricher(layers=
+load_layers(layers_dir))(table)``.
 """
 
 from __future__ import annotations
@@ -70,7 +74,7 @@ def load_layers(layers_dir: str) -> dict:
 
 def put_layers(layers_dir: str) -> dict:
     """Broadcast the layers into the object store ONCE; returns kwargs for
-    ``map_batches(Enricher, fn_constructor_kwargs=...)``."""
+    ``map_batches(enrich_batch_cached, fn_kwargs=...)``."""
     import ray
 
     return {"layers_ref": ray.put(load_layers(layers_dir))}
@@ -80,14 +84,12 @@ _WORKER_ENRICHER: dict = {}
 
 
 def enrich_batch_cached(batch: pa.Table, layers_ref=None) -> pa.Table:
-    """Stateless-task variant of the Enricher with a per-worker-process
-    index cache: the broadcast layers are ``ray.get`` once per worker and the
+    """The enrichment stage: an ``Enricher`` behind a per-worker-process
+    cache. The broadcast layers are ``ray.get`` once per worker and the
     built indexes (STRtree/kNN buckets/elevation grid) are reused for every
-    subsequent batch that worker processes — the same build-once semantics as
-    the actor pool, but as a plain task so Ray fuses it with the upstream
-    read/decode chain and schedules it elastically across ALL cpus (no pool
-    sizing). Used by the flagship's single-pass DAG; the ``Enricher`` actor
-    pool remains the API for long-lived services / GPU-style stages."""
+    subsequent batch that worker processes. As a plain task, Ray fuses it
+    with the upstream read/decode chain and schedules it elastically across
+    ALL cpus (no pool sizing)."""
     key = layers_ref.hex() if hasattr(layers_ref, "hex") else id(layers_ref)
     e = _WORKER_ENRICHER.get(key)
     if e is None:
@@ -98,7 +100,10 @@ def enrich_batch_cached(batch: pa.Table, layers_ref=None) -> pa.Table:
 
 
 class Enricher:
-    """Actor-pool batch enricher; indexes built once per actor."""
+    """Batch enricher: builds the three layer indexes once at construction
+    (from broadcast ``layers_ref`` or in-process ``layers``), then enriches
+    pyarrow batches. The flagship holds one per worker via
+    ``enrich_batch_cached``."""
 
     def __init__(self, layers_ref=None, layers=None):
         if layers is None:
