@@ -71,7 +71,7 @@ class TestShuffleSlimness:
     def test_capture_tree_deterministic_across_runs(self, tiny_images_dir,
                                                     layers_dir, flag_out,
                                                     tmp_path):
-        """The orphan spill + bucketed mini-exchange must not introduce
+        """The orphan spill + single-task orphan pass must not introduce
         run-order nondeterminism: a second fresh run produces a
         byte-identical captures tree (file names AND bytes) — the capture
         analogue of the enriched-tree resume pin."""
@@ -105,6 +105,97 @@ class TestShuffleSlimness:
         for i in range(4):
             one = flagship._add_orphan_key(t.slice(i, 1), orphan_buckets=16)
             assert one.column("part_key").to_pylist()[0] == keys[i]
+
+    def test_orphan_pass_runs_no_exchange(self, tiny_images_dir, layers_dir,
+                                          tmp_path, monkeypatch):
+        """The orphan pass is map-only: with Dataset groupby, sort and
+        repartition disabled it still resolves the spill, and its capture
+        rows equal the capture kernel over the whole concatenated spill."""
+        import pyarrow as pa
+        import ray.data
+
+        from tiff_enrichment_pipeline_ray.config import PipelineConfig
+        from tiff_enrichment_pipeline_ray.stages import capture as capture_stage
+        from tiff_enrichment_pipeline_ray.stages import enrich as enrich_stage
+        from tiff_enrichment_pipeline_ray.state.schemas import (
+            CAPTURE_TYPES,
+            pin_from_pandas,
+        )
+
+        files = sorted(glob.glob(os.path.join(tiny_images_dir, "*.parquet")))
+        caps, orph = str(tmp_path / "caps"), str(tmp_path / "orph")
+        os.makedirs(caps)
+        flagship.enriched_dataset(files, PipelineConfig(),
+                                  enrich_stage.put_layers(layers_dir),
+                                  caps_dir=caps, orph_dir=orph).materialize()
+        spill = pa.concat_tables(
+            [pq.ParquetFile(p).read()
+             for p in sorted(glob.glob(os.path.join(orph, "*.parquet")))],
+            promote_options="default").to_pandas()
+        assert len(spill)
+
+        def no_exchange(*a, **kw):
+            raise AssertionError("the orphan pass must not exchange")
+
+        for name in ("groupby", "sort", "repartition"):
+            monkeypatch.setattr(ray.data.Dataset, name, no_exchange)
+        out = str(tmp_path / "o")
+        os.makedirs(out)
+        lineage = flagship._resolve_orphans(orph, str(tmp_path / "enr"), out)
+
+        def by_capture(t):
+            return (t.to_pandas().sort_values("capture_id")
+                    .reset_index(drop=True))
+
+        got = by_capture(pa.concat_tables(
+            [pq.ParquetFile(p).read()
+             for p in sorted(glob.glob(os.path.join(out, "o_*.parquet")))]))
+        want = by_capture(flagship._cap_cells(pin_from_pandas(
+            capture_stage.process_bucket(
+                spill.rename(columns={"orph_bytes": "bytes"})),
+            CAPTURE_TYPES)))
+        pd.testing.assert_frame_equal(got, want)
+        assert int(lineage["rows"].sum()) == len(want)
+
+    def test_shuffled_input_same_captures(self, tiny_images_dir, layers_dir,
+                                          flag_out, tmp_path):
+        """Orphan-heavy input: the fixture rewritten in a seeded shuffled
+        row order splits most capture sets across blocks, so most captures
+        go through the spill and the orphan pass. The captures row set
+        (incomplete sets included) equals the ordered run's."""
+        import pyarrow as pa
+
+        files = sorted(glob.glob(os.path.join(tiny_images_dir, "*.parquet")))
+        parts = [pq.ParquetFile(f).read() for f in files]
+        t = pa.concat_tables(parts)
+        t = t.take(pa.array(np.random.default_rng(17).permutation(t.num_rows)))
+        in_dir = tmp_path / "shuffled"
+        os.makedirs(in_dir)
+        start = 0
+        for i, p in enumerate(parts):
+            pq.write_table(t.slice(start, p.num_rows),
+                           str(in_dir / f"images-{i:03d}.parquet"))
+            start += p.num_rows
+        out_b = str(tmp_path / "b")
+        flagship.run_flagship(str(in_dir), out_b, resume=False,
+                              layers_dir=layers_dir)
+
+        def captures(root, pattern="*.parquet"):
+            return sorted(glob.glob(os.path.join(root, "captures", "**",
+                                                 pattern), recursive=True))
+
+        def by_capture(root, pattern="*.parquet"):
+            return (pa.concat_tables([pq.ParquetFile(f).read()
+                                      for f in captures(root, pattern)])
+                    .to_pandas().sort_values("capture_id")
+                    .reset_index(drop=True))
+
+        out_a, _ = flag_out
+        want = by_capture(out_a)
+        assert (want.status == "incomplete_set").any()
+        got = by_capture(out_b)
+        assert 2 * len(by_capture(out_b, "o_*.parquet")) > len(got)
+        pd.testing.assert_frame_equal(got, want)
 
 
 class TestAccounting:
@@ -152,7 +243,7 @@ class TestAccounting:
         for r in Manifest(out).records():
             assert r["config_hash"] == cfg.config_hash()
             assert r["engine_version"] == __version__
-        other = PipelineConfig(enrich_weather=False)
+        other = PipelineConfig(validate=False)
         assert other.config_hash() != cfg.config_hash()
         assert PipelineConfig().config_hash() == cfg.config_hash()
 

@@ -329,9 +329,9 @@ class TestConfigFile:
         )
 
         cfg = PipelineConfig.from_dict(
-            {"enrich_weather": False, "partition_row_budget": 256})
-        assert cfg.enrich_weather is False and cfg.partition_row_budget == 256
-        assert cfg.enrich_landcover is True  # default preserved
+            {"validate": False, "partition_row_budget": 256})
+        assert cfg.validate is False and cfg.partition_row_budget == 256
+        assert cfg.cell_partition_res == 5  # default preserved
         p = cfg.save(str(tmp_path / "cfg.json"))
         cfg2 = PipelineConfig.from_file(p)
         assert cfg2 == cfg
@@ -344,10 +344,13 @@ class TestConfigFile:
 
     @pytest.mark.parametrize("key", ["batch_size", "enrich_concurrency",
                                      "enrich_actor_pool",
-                                     "capture_concurrency"])
+                                     "capture_concurrency",
+                                     "enrich_landcover", "enrich_elevation",
+                                     "enrich_weather", "keep_caption"])
     def test_removed_execution_knobs_rejected(self, key):
-        """The engine has one execution path and no worker-count knobs;
-        configs that still set a removed knob fail loudly."""
+        """The engine has one execution path, no worker-count knobs and no
+        toggles it would silently ignore; configs that still set a removed
+        knob fail loudly."""
         from tiff_enrichment_pipeline_ray.config import PipelineConfig
 
         with pytest.raises(ValueError, match="unknown config keys"):
@@ -367,11 +370,11 @@ class TestConfigFile:
         from tiff_enrichment_pipeline_ray.config import PipelineConfig
 
         p = tmp_path / "settings.yml"
-        p.write_text("enrich_weather: false\npartition_row_budget: 256\n")
+        p.write_text("validate: false\npartition_row_budget: 256\n")
         cfg = PipelineConfig.from_file(str(p))
-        assert cfg.enrich_weather is False and cfg.partition_row_budget == 256
+        assert cfg.validate is False and cfg.partition_row_budget == 256
         cfg2 = PipelineConfig.from_file(
             str(p), overrides={"partition_row_budget": 512})
         assert cfg2.partition_row_budget == 512  # override beats file
-        assert cfg2.enrich_weather is False    # file beats default
-        assert cfg2.enrich_landcover is True   # default preserved
+        assert cfg2.validate is False          # file beats default
+        assert cfg2.cell_partition_res == 5    # default preserved

@@ -62,7 +62,9 @@ class PipelineConfig:
     Same toggle surface as the reference's ``create_default``
     (core/config.py:16-100): per-index selection, QC on/off, partitioning
     knobs. There are no worker-count knobs (the reference's max_workers):
-    Ray Data sizes the one fused task stage to the cluster.
+    Ray Data sizes the one fused task stage to the cluster. There are no
+    per-layer enrichment or caption toggles either: every run joins all
+    three layers and keeps the caption (BASELINE.json per-row invariant).
     """
 
     # vegetation index toggles (all on by default, like main.py:141-150)
@@ -72,10 +74,6 @@ class PipelineConfig:
     # (ε denominator, clip [−1,1], −1 fill where denom ≤ ε) — the last
     # reference semantic corner, off by default (SURVEY §7.4-4)
     ndvi_variant: str = "processor"
-    # enrichment toggles
-    enrich_landcover: bool = True
-    enrich_elevation: bool = True
-    enrich_weather: bool = True
     # skew / partitioning
     partition_row_budget: int = DEFAULT_PARTITION_ROW_BUDGET
     cell_partition_res: int = 5  # coarse hex res used as the output partition key
@@ -92,9 +90,6 @@ class PipelineConfig:
     # The enriched/captures .tmp trees CANNOT move: they commit via
     # os.replace, which requires the same filesystem as the final dir.
     side_channel_dir: str | None = None
-    # columns kept on the enriched output (caption must survive end-to-end:
-    # BASELINE.json per-row invariant)
-    keep_caption: bool = True
 
     # --- file-driven config (reference core/config.py:104-152: JSON
     #     load/save + deep merge of user config over defaults) ---

@@ -19,8 +19,9 @@ partition:
     → repartition(coalesce)
     → groupby(part_key).map_groups(write)  # partitioned parquet + lineage
 
-  read_parquet(orphan spill, tiny)         # block-boundary + incomplete sets
-    → groupby('o:<capture bucket>').map_groups(process_bucket) → captures/
+  orphan spill (block-boundary + incomplete sets, one file per decode task)
+    → from_items([all spill files]) → map_batches(process_bucket) → captures/
+      # map-only: ONE task reads the whole spill, no exchange
 
 The skew census runs first as a sampled header-only pass.
 
@@ -63,12 +64,12 @@ def _make_part_writer(out_dir: str, caps_dir: str | None = None,
                       fail_dir: str | None = None,
                       ndvi_variant: str = "processor",
                       index_names: tuple = ALL_INDICES):
-    """map_groups writer for both exchanges. Enriched partitions of the main
-    shuffle ('<bin>[:salt]' keys): one parquet file per salted partition,
-    sorted by image_id (deterministic), atomic tmp+rename. Orphan-capture
-    partitions of the orphan pass ('o:<bucket>' keys — spilled rows carrying
-    orph_bytes): run the per-capture kernel and write into ``caps_dir``
-    instead. Both return a lineage row (kind column).
+    """map_groups writer of the main shuffle ('<bin>[:salt]' keys): one
+    parquet file per salted partition, sorted by image_id (deterministic),
+    atomic tmp+rename. Groups of spilled orphan rows ('o:<bucket>' keys from
+    _add_orphan_key, carrying orph_bytes) go through
+    _resolve_capture_group into ``caps_dir`` instead. Both return a lineage
+    row (kind column).
 
     When ``fail_dir`` is set, unreadable rows (decode_ok=False) are routed to
     a quarantine partition there instead of the enriched output — the
@@ -79,18 +80,9 @@ def _make_part_writer(out_dir: str, caps_dir: str | None = None,
         key_raw = str(g["part_key"].iloc[0])
         key = key_raw.replace(":", "_")
         if key_raw.startswith("o:") and caps_dir is not None:
-            cg = g.rename(columns={"orph_bytes": "bytes"})
-            res = capture_stage.process_bucket(cg, index_names=index_names,
-                                               ndvi_variant=ndvi_variant)
-            final = os.path.join(caps_dir, f"{key}.parquet")
-            _write_captures(res, final)
-            cells = g["h3_r5"].to_numpy()
-            return pd.DataFrame([{
-                "part_key": key_raw, "kind": "captures", "rows": len(res),
-                "h3_lo": int(cells.min()) if len(cells) else -1,
-                "h3_hi": int(cells.max()) if len(cells) else -1,
-                "file": os.path.basename(final),
-            }])
+            return pd.DataFrame([_resolve_capture_group(
+                g, key_raw, os.path.join(caps_dir, f"{key}.parquet"),
+                ndvi_variant, index_names)])
         g = g.sort_values("image_id").reset_index(drop=True)
         lineage_rows = []
         if fail_dir is not None:
@@ -218,7 +210,7 @@ def enriched_dataset(files, cfg: PipelineConfig, layer_kwargs: dict,
     schema: metadata + georef + cells + enrichment + pixel stats +
     validation). When ``caps_dir`` is given, complete-in-block captures are
     processed and written as a side effect of the single decode stage and
-    orphan rows are spilled to ``orph_dir`` (see
+    orphan rows are spilled to ``orph_dir`` for _resolve_orphans (see
     _make_decode_stats_capture_stage).
 
     Enrichment state (STRtree, kNN buckets, elevation grid) is broadcast via
@@ -297,15 +289,16 @@ def _make_decode_stats_capture_stage(caps_dir: str | None,
       already-decoded pixels and write the capture rows as side-effect
       parquet (content-hash named → idempotent under task retry; no shuffle);
     - orphan micasense rows (block-boundary / incomplete): SPILLED to
-      ``orph_dir`` as slim capture-column parquet (content-hash named,
-      idempotent) and resolved AFTER the main pass by a second tiny
-      exchange over ~2% of the data (_resolve_orphans). Earlier they rode
-      the main part_key shuffle as duplicate rows carrying ``orph_bytes``;
+      ``orph_dir`` as slim capture-column parquet, one file per block
+      (content-hash named, idempotent), and resolved AFTER the main pass
+      by one map task that reads the whole spill (_resolve_orphans), so
+      no exchange is needed. Earlier the orphans rode the main part_key
+      shuffle as duplicate rows carrying ``orph_bytes``;
       sort-range partitioning put every ``o:*`` key (2% of rows but ~25%
       of shuffle BYTES) into ONE reduce partition — measured at sf0.4/16
       CPUs as a 690 MB block, an 8.5 s reduce straggler and a 2.8 s
-      writer straggler. The spill keeps payload bytes out of the
-      all-to-all entirely (SURVEY §7.4-3);
+      writer straggler. The spill keeps payload bytes out of every
+      all-to-all (SURVEY §7.4-3);
     - return the block without ``bytes``.
 
     With caps_dir=None the capture branch is skipped (stats only)."""
@@ -384,8 +377,8 @@ def _make_decode_stats_capture_stage(caps_dir: str | None,
 
         if len(orph_global) and orph_dir is not None:
             sel = out.select(ORPHAN_SPILL_COLS).take(pa.array(orph_global))
-            # bytes → orph_bytes so the partition writer's orphan branch
-            # (rename + process_bucket) applies unchanged downstream
+            # bytes → orph_bytes, the column name _resolve_capture_group
+            # renames back
             sel = sel.rename_columns(
                 ["orph_bytes" if c == "bytes" else c
                  for c in sel.schema.names])
@@ -407,13 +400,12 @@ ORPHAN_SPILL_COLS = capture_stage.CAPTURE_SHUFFLE_COLS + ["h3_r5"]
 
 
 def _add_orphan_key(t: pa.Table, orphan_buckets: int = 16) -> pa.Table:
-    """'o:<bucket>' part_key for spilled orphan rows — the same stable
-    capture_id hash the main-shuffle orphan path used before the spill
-    redesign. The capture ROW SET is identical to the pre-spill layout;
-    file bucketing is volume-scaled (the caller passes total//256 buckets,
-    16..4096), so o_*.parquet names/groupings differ from the fixed-16 era
-    once orphans exceed ~4k rows. Run-to-run determinism holds: the bucket
-    count derives only from the input row total."""
+    """'o:<bucket>' part_key for spilled orphan rows: a stable capture_id
+    hash mod ``orphan_buckets``, never row position or batch boundaries,
+    so all bands of a capture share a key. For grouping a spill in memory
+    and handing each group to ``_make_part_writer``'s orphan branch (the
+    benchmark's in-process traced chain does this); run_flagship never
+    groups the spill (_resolve_orphans)."""
     from ..state.skew import _salt_hash
 
     cids = np.asarray(t.column("capture_id").to_pylist(), dtype=object)
@@ -463,17 +455,39 @@ def assert_worker_reachable(path: str) -> None:
             pass
 
 
+def _resolve_capture_group(g: pd.DataFrame, part_key: str, final: str,
+                           ndvi_variant: str = "processor",
+                           index_names: tuple = ALL_INDICES) -> dict:
+    """Spilled orphan rows of whole captures (``orph_bytes`` payloads) →
+    the capture kernel → ``final`` (_write_captures) → lineage row."""
+    res = capture_stage.process_bucket(
+        g.rename(columns={"orph_bytes": "bytes"}), index_names=index_names,
+        ndvi_variant=ndvi_variant)
+    _write_captures(res, final)
+    cells = g["h3_r5"].to_numpy()
+    return {
+        "part_key": part_key, "kind": "captures", "rows": len(res),
+        "h3_lo": int(cells.min()) if len(cells) else -1,
+        "h3_hi": int(cells.max()) if len(cells) else -1,
+        "file": os.path.basename(final),
+    }
+
+
 def _resolve_orphans(orph_tmp: str, tmp_dir: str, cap_tmp: str,
                      ndvi_variant: str = "processor",
                      index_names: tuple = ALL_INDICES):
-    """Second (tiny) exchange: spilled orphan rows → capture parquet.
+    """Orphan pass: spilled orphan rows → capture parquet, with NO exchange.
 
-    Reads the per-task spill files (~2% of input rows), co-locates each
-    capture's bands by the bucketed part_key and runs the partition
-    writer's 'o:*' branch (the capture kernel) per group. Returns the
-    lineage DataFrame (kind='captures'), empty if there were no orphans.
-    Scale: the exchange carries only orphan payloads — bounded by the
-    capture-set boundary-straddle rate, not the corpus."""
+    ONE map task (``from_items → map_batches``, the _fused_read pattern)
+    reads every spill file the decode stage wrote (~5% of input rows), so
+    every band of a capture meets in it; it runs the capture kernel and
+    writes ``o_0.parquet`` (_resolve_capture_group). No groupby, sort or
+    repartition: the payloads go from the spill files straight into the
+    task that consumes them. The whole spill sits in that task's heap
+    (2,483 rows at sf0.01); splitting it across tasks is left until it is
+    measured on a multi-CPU host. Returns the lineage DataFrame
+    (kind='captures'), empty if there were no orphans. ``tmp_dir``, the
+    enriched partition's staging dir, receives nothing from this pass."""
     import glob as _g
 
     import ray.data as rd
@@ -482,26 +496,19 @@ def _resolve_orphans(orph_tmp: str, tmp_dir: str, cap_tmp: str,
     if not orph_files:
         return pd.DataFrame({k: pd.Series(dtype=v)
                              for k, v in _LINEAGE_COLS.items()})
-    # bucket count scales with orphan volume (deterministic: derived from
-    # row counts): the capture kernel (align + calibrate + 8 indices) is
-    # the cost, so ~256 rows (~50 captures) per bucket keeps every core
-    # busy — 16 fixed buckets measured 11.1 s of 16-way-parallel tail at
-    # sf0.4/16 CPUs
-    total = sum(pq.read_metadata(f).num_rows for f in orph_files)
-    buckets = int(min(4096, max(16, total // 256)))
-    # coalesce the read: one spill file per decode task means hundreds of
-    # tiny blocks, and the groupby shuffle pays O(blocks × buckets) object
-    # fetches (measured 21 s vs 3 s at sf0.4/16 CPUs)
-    nblocks = int(min(len(orph_files), max(8, buckets // 4)))
-    ods = rd.read_parquet(orph_files, override_num_blocks=nblocks)
-    ods = ods.map_batches(
-        lambda t, _b=buckets: _add_orphan_key(t, orphan_buckets=_b),
-        batch_format="pyarrow", batch_size=None)
-    grouped = ods.groupby("part_key").map_groups(
-        _make_part_writer(tmp_dir, caps_dir=cap_tmp,
-                          ndvi_variant=ndvi_variant, index_names=index_names),
-        batch_format="pandas")
-    return grouped.to_pandas()
+
+    def resolve_spill(batch: pa.Table) -> pd.DataFrame:
+        files = batch.column("files")[0].as_py()
+        g = pa.concat_tables([pq.ParquetFile(f).read() for f in files],
+                             promote_options="default").to_pandas()
+        return pd.DataFrame([_resolve_capture_group(
+            g, "o:0", os.path.join(cap_tmp, "o_0.parquet"),
+            ndvi_variant, index_names)])
+
+    return (rd.from_items([{"files": orph_files}])
+            .map_batches(resolve_spill, batch_format="pyarrow",
+                         batch_size=None)
+            .to_pandas())
 
 
 def _write_captures(res: pd.DataFrame, final: str) -> None:
@@ -661,7 +668,6 @@ def run_flagship(input_dir: str, out_dir: str,
         enr_lineage = lineage[lineage["kind"] == "enriched"]
         rows = int(enr_lineage["rows"].sum())
         failed_rows = int(lineage.loc[lineage["kind"] == "failed", "rows"].sum())
-        t_ph = time.time()
 
         caps = 0
         if with_captures:

@@ -1715,13 +1715,15 @@ def geo_point_in_rect(sf_dir: str):
 
 # ------------------------------------------------- flagship (rows-only)
 
-_FLAG_VERSION = "v6"  # bump on any semantics change: invalidates /tmp caches
+_FLAG_VERSION = "v7"  # bump on any semantics change: invalidates /tmp caches
 # v5: orphan-spill flagship (capture/enriched ROW SETS identical to v4;
 # orphan file bucketing is volume-scaled so o_*.parquet groupings may
 # differ, and ops gains the orphan_resolve stage row) — regenerate so
 # driver artifacts exercise the shipped code path
 # v6: capture index grids stored as raw GI01 blobs (decoded grids and every
 # other column identical to v5; only the index_* blob bytes change)
+# v7: orphan captures are one o_0.parquet per partition; capture row set
+# identical to v6
 
 
 def _flagship_out(sf: float) -> str:

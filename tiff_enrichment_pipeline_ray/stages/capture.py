@@ -4,10 +4,10 @@ The capture-set assembly that the reference does with filename grouping +
 sequential loops (main.py:268-292, processor.py:177-298) happens without a
 shuffle for captures whose five bands share a block (split_local_complete,
 run inside the flagship's decode stage); the remaining orphan rows are
-co-located by a hash BUCKET of capture_id (all 5 bands of a capture land in
-the same bucket; ~B groups instead of ~n_captures groups, amortizing the
-per-group engine overhead). Either way a bucket goes through one tight
-per-capture kernel (process_bucket):
+spilled and resolved together in one task after the main pass (one group
+instead of ~n_captures groups, amortizing the per-group engine overhead).
+Either way a group of whole captures goes through one tight per-capture
+kernel (process_bucket):
 
   1. complete-set check (5 bands, J6 semantics: main.py:90-99) — incomplete
      sets emit a status row instead of raising;
@@ -23,9 +23,9 @@ per-capture kernel (process_bucket):
      ``<u2`` grid: the parquet page codec is the only compression);
   5. quality metrics: NDVI coverage fractions (indices.py:106-117).
 
-Partitioning assumption: the orphan bucket (flagship._add_orphan_key)
-co-locates each capture's bands; B scales with orphan volume so a bucket's
-decoded pixels fit a worker heap.
+Partitioning assumption: the flagship's orphan pass reads the whole spill
+in one task (flagship._resolve_orphans), so every capture's bands meet
+there without an exchange; its decoded pixels must fit that worker's heap.
 Band order inside the stack is sorted band number (processor.py:325).
 """
 
@@ -184,8 +184,8 @@ def split_local_complete(df: pd.DataFrame):
 
 
 # slim column set the capture kernel reads, and the orphan spill carries
-# through its capture-bucket exchange (bytes dominate; every other wide
-# column is dropped before the groupby — SURVEY §7.4-3)
+# to the orphan pass (bytes dominate; every other wide column is dropped
+# before the spill — SURVEY §7.4-3)
 CAPTURE_SHUFFLE_COLS = [
     "capture_id", "image_id", "band", "bytes", "w", "h", "decode_ok",
     "has_gps", "lat", "lon", "alt_m", "ts_raw", "caption",

@@ -140,8 +140,8 @@ def add_part_key(batch: pa.Table, plan: dict,
     stable blake2b(image_id) mod F — never row position).
 
     Orphan capture rows no longer ride this shuffle — they are spilled at
-    decode time and resolved by a second tiny exchange
-    (flagship._resolve_orphans), keeping payload bytes out of the main
+    decode time and resolved by one map-only task
+    (flagship._resolve_orphans), keeping payload bytes out of every
     all-to-all."""
     cells = batch.column(cell_col).to_numpy()
     n = len(cells)
