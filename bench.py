@@ -6,7 +6,8 @@ salted partitioned write) over the synthetic images table at the scale implied
 by $GRAFT_SF_DIR, plus a representative set of driver queries over the
 testdata tables. Prints exactly ONE JSON line on stdout.
 
-    python bench.py                 # one run at $RAY_GRAFT_CPUS (default 32)
+    python bench.py                 # one run at $RAY_GRAFT_CPUS (default:
+                                    # this host's os.cpu_count())
     python bench.py --scaling       # fresh processes at two CPU levels
                                     # (default 4 vs 16 — see run_scaling and
                                     # BASELINE.md "hardware ceiling") on the
@@ -262,7 +263,7 @@ def run_scaling(sf_dir: str, lo: int | None = None, hi: int | None = None) -> di
 
 if __name__ == "__main__":
     sf_dir = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
-    ncpu = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
+    ncpu = int(os.environ.get("RAY_GRAFT_CPUS") or os.cpu_count() or 1)
     if "--scaling" in sys.argv:
         print(json.dumps(run_scaling(sf_dir)))
     else:

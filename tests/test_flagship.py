@@ -141,7 +141,7 @@ class TestShuffleSlimness:
             monkeypatch.setattr(ray.data.Dataset, name, no_exchange)
         out = str(tmp_path / "o")
         os.makedirs(out)
-        lineage = flagship._resolve_orphans(orph, str(tmp_path / "enr"), out)
+        lineage = flagship._resolve_orphans(orph, out)
 
         def by_capture(t):
             return (t.to_pandas().sort_values("capture_id")
@@ -654,6 +654,128 @@ class TestSkew:
         keys = [p["part_key"] for r in recs for p in r["parts"]]
         cells = pd.Series([k.split(":")[0] for k in keys])
         assert (cells.value_counts() > 1).any()  # at least one salted cell
+        # several bins take the sort tail: its one exchange is on record
+        ops = flagship.read_ops(out).to_pandas()
+        assert ops["exchanges"].dtype == np.int64
+        assert ops.set_index("stage")["exchanges"].to_dict() == {
+            "census": 0, "enrich_write": 1, "orphan_resolve": 0,
+            "captures_commit": 0, "quarantine": 0}
+
+
+def _tree_digest(root, subs=("enriched", "captures", "failed")):
+    """relative path → sha256 of every file under ``root``/``subs``."""
+    files = sorted(f for sub in subs for f in glob.glob(
+        os.path.join(root, sub, "**", "*"), recursive=True)
+        if os.path.isfile(f))
+    return {os.path.relpath(f, root):
+            hashlib.sha256(open(f, "rb").read()).hexdigest() for f in files}
+
+
+class TestWriteTail:
+    def test_single_bin_partition_runs_no_exchange(
+            self, tiny_images_dir, layers_dir, flag_out, tmp_path,
+            monkeypatch):
+        """A partition that fits one bin (no salted cells) is written by
+        ONE writer task: with Dataset groupby, sort and repartition
+        disabled the run still commits, its enriched, captures and failed
+        trees are byte-identical to the shared run's (file names
+        included), and its ops rows record no exchange."""
+        import ray.data
+
+        def no_exchange(*a, **kw):
+            raise AssertionError("a single-bin partition must not exchange")
+
+        for name in ("groupby", "sort", "repartition"):
+            monkeypatch.setattr(ray.data.Dataset, name, no_exchange)
+        out = str(tmp_path / "single")
+        s = flagship.run_flagship(tiny_images_dir, out, resume=False,
+                                  layers_dir=layers_dir)
+        monkeypatch.undo()
+        assert s["rows_written"] == flag_out[1]["rows_written"]
+        want = _tree_digest(flag_out[0])
+        assert want and _tree_digest(out) == want
+        ops = flagship.read_ops(out).to_pandas()
+        assert ops["exchanges"].dtype == np.int64
+        assert (ops["exchanges"] == 0).all() and len(ops) == 5
+
+    def test_empty_input_commits_empty_partition(self, tiny_images_dir,
+                                                 layers_dir, tmp_path):
+        """An input whose parquet has zero rows commits an empty partition
+        (no writer call ever runs): empty enriched/failed/captures trees, a
+        manifest row with 0 rows, and a resume skips it."""
+        from tiff_enrichment_pipeline_ray.state.manifest import Manifest
+
+        f = sorted(glob.glob(os.path.join(tiny_images_dir, "*.parquet")))[0]
+        in_dir = tmp_path / "empty_in"
+        os.makedirs(in_dir)
+        pq.write_table(pq.read_table(f).slice(0, 0),
+                       str(in_dir / "images-000.parquet"))
+        out = str(tmp_path / "empty_out")
+        s = flagship.run_flagship(str(in_dir), out, resume=False,
+                                  layers_dir=layers_dir)
+        assert (s["rows_written"], s["failed_rows"],
+                s["captures_written"]) == (0, 0, 0)
+        for sub in ("enriched", "failed", "captures"):
+            assert os.listdir(os.path.join(out, sub, "part=00000")) == []
+        recs = Manifest(out).records()
+        assert [(r["partition_id"], r["row_count"]) for r in recs] == [(0, 0)]
+        s2 = flagship.run_flagship(str(in_dir), out, resume=True,
+                                   layers_dir=layers_dir)
+        assert s2["partitions_skipped"] == 1 and s2["partitions_run"] == 0
+
+
+class TestLayerBroadcast:
+    def test_put_layers_cached_per_session_and_files(self, layers_dir,
+                                                     tmp_path):
+        """One broadcast per (session, layers dir, layer file mtimes and
+        sizes): a second call returns the same ref, so the workers' built
+        indexes stay cached; touching a layer file re-broadcasts."""
+        import shutil
+
+        from tiff_enrichment_pipeline_ray.stages import enrich as E
+
+        d = str(tmp_path / "layers")
+        shutil.copytree(layers_dir, d)
+        a = E.put_layers(d)["layers_ref"]
+        assert E.put_layers(d)["layers_ref"] is a
+        lc = os.path.join(d, "landcover.parquet")
+        st = os.stat(lc)
+        os.utime(lc, ns=(st.st_atime_ns, st.st_mtime_ns + 10**9))
+        b = E.put_layers(d)["layers_ref"]
+        assert b is not a and E.put_layers(d)["layers_ref"] is b
+
+    def test_put_layers_fresh_session_gets_live_ref(self, layers_dir):
+        """A second ``ray.init`` in one process (the benchmark restarts its
+        session this way) must not be handed the first session's ref,
+        whose owner is gone: the cache is keyed on the session."""
+        import subprocess
+        import sys
+        import textwrap
+
+        import tiff_enrichment_pipeline_ray as pkg
+
+        script = textwrap.dedent(f"""
+            import ray
+            from tiff_enrichment_pipeline_ray.stages import enrich as E
+            refs = []
+            for _ in range(2):
+                ray.init(address="local", num_cpus=1, include_dashboard=False,
+                         logging_level="ERROR",
+                         object_store_memory=100 * 2**20)
+                ref = E.put_layers({layers_dir!r})["layers_ref"]
+                assert E.put_layers({layers_dir!r})["layers_ref"] is ref
+                assert "landcover" in ray.get(ref, timeout=60)
+                refs.append(ref.hex())
+                ray.shutdown()
+            assert refs[0] != refs[1], refs
+            print("OK")
+        """)
+        root = os.path.dirname(os.path.dirname(pkg.__file__))
+        env = dict(os.environ, PYTHONPATH=root)
+        r = subprocess.run([sys.executable, "-c", script], env=env,
+                           capture_output=True, text=True, timeout=300)
+        assert r.returncode == 0 and r.stdout.strip().endswith("OK"), \
+            r.stderr[-2000:]
 
 
 class TestExports:
@@ -712,9 +834,9 @@ class TestStorageContract:
         seen = []
         orig = flagship._resolve_orphans
 
-        def spy(orph_tmp, tmp_dir, cap_tmp, **kw):
-            seen.append(orph_tmp)
-            return orig(orph_tmp, tmp_dir, cap_tmp, **kw)
+        def spy(*a, **kw):
+            seen.append(a[0])
+            return orig(*a, **kw)
 
         monkeypatch.setattr(flagship, "_resolve_orphans", spy)
         flagship.run_flagship(

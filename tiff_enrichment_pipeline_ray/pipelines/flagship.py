@@ -16,8 +16,12 @@ partition:
       #  bytes dropped                                              │ indexes)
     → map_batches(validate)                # issue columns          ┘
     → add part_key (salted range bins)     # skew-bounded layout
-    → repartition(coalesce)
-    → groupby(part_key).map_groups(write)  # partitioned parquet + lineage
+    → one of two write tails (partitioned parquet + lineage):
+      - single bin (no salts, est_rows ≤ bin budget): ONE writer task,
+        map_batches(write, batch_size=est_rows, concurrency=1) — no
+        all-to-all exchange;
+      - several bins: repartition(coalesce) → groupby(part_key)
+        .map_groups(write), the one sort-based exchange.
 
   orphan spill (block-boundary + incomplete sets, one file per decode task)
     → from_items([all spill files]) → map_batches(process_bucket) → captures/
@@ -64,9 +68,12 @@ def _make_part_writer(out_dir: str, caps_dir: str | None = None,
                       fail_dir: str | None = None,
                       ndvi_variant: str = "processor",
                       index_names: tuple = ALL_INDICES):
-    """map_groups writer of the main shuffle ('<bin>[:salt]' keys): one
-    parquet file per salted partition, sorted by image_id (deterministic),
-    atomic tmp+rename. Groups of spilled orphan rows ('o:<bucket>' keys from
+    """The partition writer of both write tails: called once per
+    '<bin>[:salt]' key, by ``groupby(part_key).map_groups`` after the sort
+    exchange (several bins) or by the single-bin tail's one
+    ``map_batches`` call over every row (key "0"). One parquet file per
+    salted partition, sorted by image_id (deterministic), atomic
+    tmp+rename. Groups of spilled orphan rows ('o:<bucket>' keys from
     _add_orphan_key, carrying orph_bytes) go through
     _resolve_capture_group into ``caps_dir`` instead. Both return a lineage
     row (kind column).
@@ -124,6 +131,11 @@ _LINEAGE_COLS = {"part_key": str, "kind": str, "rows": np.int64,
                  "h3_lo": np.int64, "h3_hi": np.int64, "file": str}
 
 
+def _empty_lineage() -> pd.DataFrame:
+    return pd.DataFrame({k: pd.Series(dtype=v)
+                         for k, v in _LINEAGE_COLS.items()})
+
+
 def tune_data_context():
     """Raise the streaming executor's object-store budget to what the node
     actually has: the default conservative cap throttles read/map concurrency
@@ -143,8 +155,8 @@ def tune_data_context():
         pass
     # per-operator resource reservation guarantees each op a fixed slice of
     # the cluster; with one dominant fused task stage that caps it at ~60%
-    # utilization (measured 2.4×). Our DAGs are task-only chains + one
-    # shuffle, so the anti-starvation reservation isn't needed.
+    # utilization (measured 2.4×). Our DAGs are task-only chains + at most
+    # one shuffle, so the anti-starvation reservation isn't needed.
     if hasattr(ctx, "op_resource_reservation_enabled"):
         ctx.op_resource_reservation_enabled = False
     return ctx
@@ -473,7 +485,7 @@ def _resolve_capture_group(g: pd.DataFrame, part_key: str, final: str,
     }
 
 
-def _resolve_orphans(orph_tmp: str, tmp_dir: str, cap_tmp: str,
+def _resolve_orphans(orph_tmp: str, cap_tmp: str,
                      ndvi_variant: str = "processor",
                      index_names: tuple = ALL_INDICES):
     """Orphan pass: spilled orphan rows → capture parquet, with NO exchange.
@@ -486,16 +498,14 @@ def _resolve_orphans(orph_tmp: str, tmp_dir: str, cap_tmp: str,
     task that consumes them. The whole spill sits in that task's heap
     (2,483 rows at sf0.01); splitting it across tasks is left until it is
     measured on a multi-CPU host. Returns the lineage DataFrame
-    (kind='captures'), empty if there were no orphans. ``tmp_dir``, the
-    enriched partition's staging dir, receives nothing from this pass."""
+    (kind='captures'), empty if there were no orphans."""
     import glob as _g
 
     import ray.data as rd
 
     orph_files = sorted(_g.glob(os.path.join(orph_tmp, "*.parquet")))
     if not orph_files:
-        return pd.DataFrame({k: pd.Series(dtype=v)
-                             for k, v in _LINEAGE_COLS.items()})
+        return _empty_lineage()
 
     def resolve_spill(batch: pa.Table) -> pd.DataFrame:
         files = batch.column("files")[0].as_py()
@@ -632,27 +642,48 @@ def run_flagship(input_dir: str, out_dir: str,
         enriched = enriched.map_batches(
             lambda t, _s=salts: add_part_key(t, _s, f"h3_r{cfg.cell_partition_res}"),
             batch_format="pyarrow")
-        # ONE all-to-all exchange of the slim (bytes-free) rows; coalescing
-        # first kills the O(map_blocks × reduce_partitions) fetch term
-        coal = int(max(2 * cpus, min(est_rows // 50_000, 8 * cpus)))
         part_dir = os.path.join(out_dir, "enriched", f"part={pid:05d}")
         tmp_dir = part_dir + ".tmp"
         fail_part = os.path.join(out_dir, "failed", f"part={pid:05d}")
         fail_tmp = fail_part + ".tmp"
         for d in (tmp_dir, part_dir, fail_tmp, fail_part):
             shutil.rmtree(d, ignore_errors=True)
-        os.makedirs(fail_tmp, exist_ok=True)
-        grouped = (enriched.repartition(coal)
-                   .groupby("part_key")
-                   .map_groups(_make_part_writer(tmp_dir, fail_dir=fail_tmp),
-                               batch_format="pandas"))
-        lineage = grouped.to_pandas()
+        # staged up front: a partition with no rows gets no writer call but
+        # still commits (empty) trees
+        os.makedirs(tmp_dir)
+        os.makedirs(fail_tmp)
+        writer = _make_part_writer(tmp_dir, fail_dir=fail_tmp)
+        if salts:
+            # ONE all-to-all exchange of the slim (bytes-free) rows;
+            # coalescing first kills the O(map_blocks × reduce_partitions)
+            # fetch term
+            coal = int(max(2 * cpus, min(est_rows // 50_000, 8 * cpus)))
+            written = (enriched.repartition(coal)
+                       .groupby("part_key")
+                       .map_groups(writer, batch_format="pandas"))
+            exchanges = 1
+        else:
+            # single bin: every row has part_key "0", so ONE writer call
+            # over all of them needs no exchange. concurrency=1 keeps the
+            # writer out of the read→decode fusion (an unsized upstream is
+            # never fused into a size-1 pool), so decode stays one task
+            # per block and writes the same in-block capture files.
+            written = enriched.map_batches(
+                writer, batch_size=max(1, est_rows), concurrency=1,
+                batch_format="pandas")
+            exchanges = 0
+        lineage = written.to_pandas()
+        if lineage.empty:
+            lineage = _empty_lineage()
+        # one file per key and tree: a second writer call for a key would
+        # have overwritten the first one's file
+        assert not lineage.duplicated(["kind", "file"]).any(), lineage
         enrich_write_s = time.time() - t_ph
         phases["enrich_write"] += enrich_write_s
         t_ph = time.time()
         orph_rows = 0
         if with_captures:
-            orph_lineage = _resolve_orphans(orph_tmp, tmp_dir, cap_tmp,
+            orph_lineage = _resolve_orphans(orph_tmp, cap_tmp,
                                             ndvi_variant=cfg.ndvi_variant,
                                             index_names=cfg.indices)
             if len(orph_lineage):
@@ -683,7 +714,7 @@ def run_flagship(input_dir: str, out_dir: str,
         # one row per (partition, stage) with wall/rows/throughput, plus the
         # raw Ray Data per-operator stats report for the executed DAG.
         try:
-            stats_text = grouped.stats()
+            stats_text = written.stats()
         except Exception:
             stats_text = ""
         ops_df = pd.DataFrame([
@@ -702,6 +733,10 @@ def run_flagship(input_dir: str, out_dir: str,
         ])
         ops_df["rows_per_sec"] = (
             ops_df["rows"] / ops_df["wall_s"].clip(lower=1e-9)).round(1)
+        # all-to-all exchanges each stage ran: which write tail this
+        # partition took, without parsing the ``detail`` stats text
+        ops_df["exchanges"] = np.where(ops_df["stage"] == "enrich_write",
+                                       exchanges, 0).astype(np.int64)
         ops_dir = os.path.join(out_dir, "ops")
         os.makedirs(ops_dir, exist_ok=True)
         ops_path = os.path.join(ops_dir, f"part={pid:05d}.parquet")
@@ -755,8 +790,10 @@ def read_failed(out_dir: str):
 def read_ops(out_dir: str):
     """Per-(partition, stage) operational metrics written by run_flagship —
     the reference's system_metrics/api_usage analogue
-    (create-tables.sql:185-223); `detail` carries the raw Ray Data
-    per-operator stats report for the partition's executed DAG."""
+    (create-tables.sql:185-223); `exchanges` counts the all-to-all
+    exchanges a stage ran (1 on the sort tail's enrich_write row, else 0)
+    and `detail` carries the raw Ray Data per-operator stats report for
+    the partition's executed DAG."""
     import ray.data as rd
 
     return rd.read_parquet(os.path.join(out_dir, "ops"),

@@ -1715,7 +1715,7 @@ def geo_point_in_rect(sf_dir: str):
 
 # ------------------------------------------------- flagship (rows-only)
 
-_FLAG_VERSION = "v7"  # bump on any semantics change: invalidates /tmp caches
+_FLAG_VERSION = "v8"  # bump on any semantics change: invalidates /tmp caches
 # v5: orphan-spill flagship (capture/enriched ROW SETS identical to v4;
 # orphan file bucketing is volume-scaled so o_*.parquet groupings may
 # differ, and ops gains the orphan_resolve stage row) — regenerate so
@@ -1724,6 +1724,9 @@ _FLAG_VERSION = "v7"  # bump on any semantics change: invalidates /tmp caches
 # other column identical to v5; only the index_* blob bytes change)
 # v7: orphan captures are one o_0.parquet per partition; capture row set
 # identical to v6
+# v8: single-bin partitions are written without an exchange (enriched,
+# captures and failed files byte-identical to v7); ops gains the integer
+# exchanges column
 
 
 def _flagship_out(sf: float) -> str:
