@@ -478,7 +478,167 @@ class TestDedup:
             assert row["min"] == grp.image_id.min()
 
 
+def _reference_stack(cols, idx):
+    """The capture kernel's steps 2-3 spelled out pass by pass, the way
+    processor.py:300-399 runs them: align each band onto band 3's grid
+    (``affine_bilinear_resample``; the bands stack as-is without GPS or
+    with a non-finite pixel size, resampled only when the shape differs),
+    clip → uint16, ``indices.calibrate`` → float32. ``idx`` = the five
+    band rows sorted by band; None when a band does not decode."""
+    from tiff_enrichment_pipeline_ray.functions import indices as I
+    from tiff_enrichment_pipeline_ray.functions.raster import (
+        affine_bilinear_resample)
+
+    decoded = [cols["_px"][i] if "_px" in cols
+               else codec.decode_pixels_only(cols["bytes"][i]) for i in idx]
+    if any(px is None for px in decoded):
+        return None
+    r = idx[2]
+    H, W = decoded[2].shape
+    have_geo = bool(cols["has_gps"][r]) and np.isfinite(cols["px_deg"][r])
+    bands = []
+    for k, (i, px) in enumerate(zip(idx, decoded)):
+        if k == 2 or not have_geo or not np.isfinite(cols["px_deg"][i]):
+            band = px.astype(np.float32)
+            if band.shape != (H, W):
+                band = affine_bilinear_resample(
+                    px, 0.0, 0.0, 1.0, 1.0, 0.0, 0.0,
+                    px.shape[1] / W, px.shape[0] / H, H, W)
+        else:
+            band = affine_bilinear_resample(
+                px, *(float(cols[c][i]) for c in
+                      ("west", "north", "px_deg", "py_deg")),
+                *(float(cols[c][r]) for c in
+                  ("west", "north", "px_deg", "py_deg")), H, W)
+        bands.append(band)
+    aligned = np.clip(np.stack(bands), 0, 65535).astype(np.uint16)
+    return I.calibrate(aligned.astype(np.float32)).astype(np.float32)
+
+
+def _reference_row(cid, cols, idx, names):
+    """One capture's kernel outputs from the reference chain: stack →
+    ``compute_index`` → ``quantize_index`` → raw blob; float32 mean;
+    NDVI coverage as the boolean mean."""
+    from tiff_enrichment_pipeline_ray.config import ALL_INDICES
+    from tiff_enrichment_pipeline_ray.functions import indices as I
+
+    rec = {"status": "incomplete_set", "n_bands": len(idx),
+           "coverage_gt_02": np.nan, "coverage_gt_05": np.nan}
+    for name in ALL_INDICES:
+        rec[f"mean_{name}"] = np.nan
+        rec[f"index_{name}"] = None
+    idx = idx[np.argsort(cols["band"][idx], kind="stable")]
+    if cols["band"][idx].tolist() != [1, 2, 3, 4, 5]:
+        return rec
+    stack = _reference_stack(cols, idx)
+    if stack is None:
+        return dict(rec, status="failed_decode")
+    rec["status"] = "ok"
+    for name in names:
+        val = I.compute_index(name, stack)
+        rec[f"mean_{name}"] = float(val.mean())
+        rec[f"index_{name}"] = codec.encode_image(
+            I.quantize_index(val), "raw",
+            {"Index": name.upper(), "Capture Id": cid})
+    ndvi = I.compute_index("ndvi", stack)
+    rec["coverage_gt_02"] = float((ndvi > 0.2).mean())
+    rec["coverage_gt_05"] = float((ndvi > 0.5).mean())
+    return rec
+
+
+def _crafted_captures():
+    """Band rows (CAPTURE_SHUFFLE_COLS) of captures built to reach every
+    branch and edge of the capture kernel: full-range DNs, DNs around the
+    saturation level 7, all-zero bands (zero index denominators), a
+    negative EVI denominator, ±3 px band offsets (edge clamps and the
+    zero fill), no GPS, a band shape that differs on the identity path,
+    a NaN pixel size on one band, a corrupt band and an incomplete set."""
+    rng = np.random.default_rng(23)
+    deg = 1e-5
+    rows = []
+
+    def add(cid, bands, gps=True, shifts=None, px_deg=None, bad=()):
+        for b, px in bands.items():
+            dx, dy = (shifts or {}).get(b, (0.0, 0.0))
+            pdeg = (px_deg or {}).get(b, deg)
+            blob = (b"GI01corrupt" if b in bad
+                    else codec.encode_image(px.astype(np.uint16), "raw", {}))
+            rows.append({
+                "capture_id": cid, "image_id": f"{cid}_{b}", "band": b,
+                "bytes": blob, "w": px.shape[1], "h": px.shape[0],
+                "decode_ok": b not in bad, "has_gps": gps,
+                "lat": 52.0 if gps else np.nan,
+                "lon": 5.0 if gps else np.nan, "alt_m": 80.0,
+                "ts_raw": "2024:05:01 10:00:00", "caption": cid,
+                "west": 5.0 + dx * deg if gps else np.nan,
+                "north": 52.0 + dy * deg if gps else np.nan,
+                "px_deg": pdeg if gps else np.nan,
+                "py_deg": deg if gps else np.nan})
+
+    def grid(hi, shape=(16, 16)):
+        return rng.integers(0, hi, shape)
+
+    sub = {b: (rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5))
+           for b in (1, 2, 4, 5)}
+    add("C_full", {b: grid(65536) for b in range(1, 6)}, shifts=sub)
+    add("C_sat", {b: grid(13) for b in range(1, 6)},
+        shifts={1: (3.0, 0.0), 2: (-3.0, 0.0), 4: (0.0, 3.0),
+                5: (-2.6, -3.0)})
+    add("C_zero", {b: np.zeros((16, 16)) for b in range(1, 6)}, shifts=sub)
+    # blue saturated, red/nir zero: n + 6r − 7.5b + 1 < 0 everywhere
+    add("C_evi_neg", {1: np.full((16, 16), 9), 2: grid(9), 3: np.zeros((16, 16)),
+                      4: np.zeros((16, 16)), 5: grid(9)})
+    add("C_nogps", {b: grid(10) for b in range(1, 6)}, gps=False)
+    add("C_shape", {1: grid(10, (20, 24)), 2: grid(10, (12, 16)),
+                    3: grid(10), 4: grid(10), 5: grid(10, (16, 16))},
+        gps=False)
+    add("C_nanpx", {b: grid(10) for b in range(1, 6)}, shifts=sub,
+        px_deg={2: np.nan})
+    add("C_corrupt", {b: grid(10) for b in range(1, 6)}, bad=(4,))
+    add("C_incomplete", {b: grid(10) for b in (1, 2, 3, 5)})
+    return pd.DataFrame(rows)
+
+
 class TestCaptures:
+    def test_kernel_matches_reference_chain_on_crafted_captures(self):
+        """Every ``process_bucket`` output the capture rows store — status,
+        n_bands, the index blobs, ``mean_*`` as float64 bits and the
+        coverages — equals the step-by-step reference chain on crafted
+        captures, with the pixels taken from ``bytes`` or from the stats
+        stage's ``_px``, for all indices, NDVI alone and a subset without
+        NDVI."""
+        from tiff_enrichment_pipeline_ray.config import ALL_INDICES
+        from tiff_enrichment_pipeline_ray.stages import capture as C
+
+        df = _crafted_captures()
+        cols = {c: df[c].to_numpy() for c in df.columns}
+        with_px = df.assign(_px=[codec.decode_pixels_only(b)
+                                 for b in df["bytes"]])
+        for names in (ALL_INDICES, ("ndvi",), ("evi", "msavi", "ndwi")):
+            for frame in (df, with_px):
+                got = C.process_bucket(frame, index_names=names)
+                got = got.set_index("capture_id")
+                assert sorted(got.index) == sorted(df.capture_id.unique())
+                for cid, grp in df.groupby("capture_id"):
+                    want = _reference_row(cid, cols, grp.index.to_numpy(),
+                                          names)
+                    row = got.loc[cid]
+                    for col, w in want.items():
+                        g = row[col]
+                        if isinstance(w, float):
+                            assert (np.float64(g).view(np.int64)
+                                    == np.float64(w).view(np.int64)), \
+                                (cid, names, col, g, w)
+                        else:
+                            assert g == w or (g is None and w is None), \
+                                (cid, names, col)
+        statuses = C.process_bucket(df).set_index("capture_id").status
+        assert statuses.to_dict() == {
+            "C_corrupt": "failed_decode", "C_evi_neg": "ok",
+            "C_full": "ok", "C_incomplete": "incomplete_set",
+            "C_nanpx": "ok", "C_nogps": "ok", "C_sat": "ok",
+            "C_shape": "ok", "C_zero": "ok"}
+
     def test_identity_path_bit_exact(self, flag_out, input_df):
         """A no-GPS capture takes the identity-alignment path: NDVI blob must
         equal the directly computed quantized NDVI, bit-for-bit."""
@@ -509,7 +669,8 @@ class TestCaptures:
         """Every ``ok`` capture stores its 8 index grids as raw GI01 blobs
         (the parquet page codec is the only compression) carrying the
         index name and capture id, and each grid equals the quantized index
-        of the capture's aligned, calibrated band stack."""
+        of the capture's band stack from the step-by-step reference chain
+        (``_reference_stack``), not from the kernel's own fused passes."""
         from tiff_enrichment_pipeline_ray.config import ALL_INDICES
         from tiff_enrichment_pipeline_ray.functions import indices as I
         from tiff_enrichment_pipeline_ray.stages import capture as C
@@ -524,7 +685,7 @@ class TestCaptures:
         for cid, grp in rows.groupby("capture_id"):
             idx = grp.sort_values("band").index.to_numpy()
             assert cols["band"][idx].tolist() == [1, 2, 3, 4, 5]
-            stack = C._calibrated_stack(cols, idx)
+            stack = _reference_stack(cols, idx)
             for name in ALL_INDICES:
                 blob = ok.at[cid, f"index_{name}"]
                 assert codec.decode_header_meta(blob)["fmt"] == "raw"

@@ -219,6 +219,45 @@ class TestIndices:
         c = indices.calibrate(np.array([0.0, 0.5, 6.0, 7.0], dtype=np.float32))
         assert c.tolist() == [0, 5000, 60000, 65535]
 
+    def test_index_passes_match_reference_forms(self):
+        """``_safe_div``, ``quantize_index`` and ``vegetation_coverage``
+        give the bits, dtype and type of their reference forms (masked
+        divide over zeros, np.clip, boolean mean) on every kind of input:
+        NaN, ±inf, ±0.0, float64 and 0-d arrays."""
+        def bits(a):
+            a = np.asarray(a)
+            return a.dtype, a.shape, a.tobytes()
+
+        specials = np.array([0.0, -0.0, 1.0, -1.0, np.nan, np.inf, -np.inf,
+                             1e-30, 65535.0], dtype=np.float32)
+        num = np.repeat(specials, len(specials))
+        den = np.tile(specials, len(specials))
+        rng = np.random.default_rng(11)
+        cases = [(num, den), (num.astype(np.float64), den.astype(np.float64)),
+                 (np.array(np.float32(3.0)), np.array(np.float32(0.0))),
+                 (np.array(np.float32(3.0)), np.array(np.float32(-2.0))),
+                 (rng.normal(size=(17, 19)).astype(np.float32),
+                  np.where(rng.random((17, 19)) < 0.3, 0.0,
+                           rng.normal(size=(17, 19))).astype(np.float32))]
+        for n, d in cases:
+            want = np.divide(n, d, out=np.zeros_like(n), where=d != 0)
+            got = indices._safe_div(n, d)
+            assert type(got) is type(want) and bits(got) == bits(want)
+        # EVI with an exactly zero denominator (n + 6r − 7.5b + 1 = 0)
+        one = np.ones(1, np.float32)
+        assert indices.evi(0.125 * one, 0.125 * one, 0.25 * one).tolist() == [0.0]
+        for x in (specials, specials.astype(np.float64),
+                  rng.uniform(-3, 3, (31, 7)).astype(np.float32),
+                  np.array([0.5], np.float32), np.array(np.float32(0.5))):
+            want = np.clip((x + 1.0) * 32767.5, 0, 65535).astype("uint16")
+            assert bits(indices.quantize_index(x)) == bits(want)
+        for x in (rng.uniform(-1, 1, (64, 48)).astype(np.float32),
+                  np.full((3, 5), 0.2, np.float32), specials):
+            want = {"coverage_gt_02": float((x > 0.2).mean()),
+                    "coverage_gt_05": float((x > 0.5).mean())}
+            got = indices.vegetation_coverage(x)
+            assert got == want and all(type(v) is float for v in got.values())
+
 
 class TestCodec:
     def test_roundtrip_lossless(self):

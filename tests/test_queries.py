@@ -1889,3 +1889,79 @@ def test_mann_whitney_ks_heavy_ties(ray_session, tmp_path):
     # ECDFs at 1.00: 4/6 vs 2/6 -> D = 1/3 at value 1.00
     assert float(got_ks.ks_d.iloc[0]) == round(1 / 3, 6)
     assert float(got_ks.at_value.iloc[0]) == 1.0
+
+
+class _CensusStub:
+    """Stands in for both the events Dataset and ``_preagg``'s result:
+    every Dataset call returns itself, ``to_pandas`` the crafted census."""
+
+    def __init__(self, census):
+        self.census = census
+
+    def map_batches(self, *a, **kw):
+        return self
+
+    def to_pandas(self):
+        return self.census.copy()
+
+
+def _feed_census(monkeypatch, census):
+    from tiff_enrichment_pipeline_ray.pipelines import queries as Q
+
+    stub = _CensusStub(census)
+    monkeypatch.setattr(Q, "read_testdata", lambda *a, **kw: stub)
+    monkeypatch.setattr(Q, "_preagg", lambda *a, **kw: stub)
+    return Q
+
+
+def test_mann_whitney_exact_past_int64(monkeypatch):
+    """A (value, type) census whose pooled tie count is ≥ 2²¹ makes
+    tt³ pass 2⁶³: the rank-sum and tie terms must still be the exact
+    integers, checked against Python-int math on the census."""
+    import math
+
+    import pandas as pd
+
+    big = 2 ** 21
+    census = pd.DataFrame({
+        "v": [1.0, 1.0, 2.0, 2.0, 3.0],
+        "t": ["view", "purchase", "view", "purchase", "view"],
+        "c": [big, 5, 3, big + 7, 11]})
+    Q = _feed_census(monkeypatch, census)
+    got = Q.events_mann_whitney("unused")
+    ca = {1.0: big, 2.0: 3, 3.0: 11}
+    cb = {1.0: 5, 2.0: big + 7, 3.0: 0}
+    na, nb = sum(ca.values()), sum(cb.values())
+    n = na + nb
+    before = r2a = tie = 0
+    for v in (1.0, 2.0, 3.0):
+        tt = ca[v] + cb[v]
+        r2a += ca[v] * (2 * before + tt + 1)
+        tie += tt ** 3 - tt
+        before += tt
+    assert tie > 2 ** 63
+    u2a = r2a - na * (na + 1)
+    var = (na * nb / 12.0) * ((n + 1) - tie / float(n * (n - 1)))
+    z = (u2a - na * nb) / (2.0 * math.sqrt(var))
+    assert got.n_a.tolist() == [na] and got.n_b.tolist() == [nb]
+    assert got.u_a.tolist() == [u2a / 2.0]
+    assert got.z.tolist() == [round(z, 6)]
+
+
+def test_gini_exact_past_int64(monkeypatch):
+    """Per-user counts large enough that (2i − n − 1)·cᵢ and n·Σc pass
+    2⁶³: the Gini numerator and denominator must be the exact
+    integers."""
+    import pandas as pd
+
+    c = [3, 1, 2, 3 * 2 ** 60, 2 ** 60]
+    census = pd.DataFrame({"user_id": [10, 11, 12, 13, 14], "c": c})
+    Q = _feed_census(monkeypatch, census)
+    got = Q.events_gini("unused")
+    asc = sorted(c)
+    n = len(asc)
+    num = sum((2 * i - n - 1) * ci for i, ci in enumerate(asc, 1))
+    den = n * sum(asc)
+    assert max(abs(num), den) > 2 ** 63
+    assert got.n_users.tolist() == [n]
+    assert got.gini.tolist() == [round(float(num) / float(den), 6)]

@@ -197,6 +197,54 @@ class TestResample:
         assert (out == 0).all()
 
 
+class TestResampleBits:
+    @staticmethod
+    def _reference(src, sw_, sn, spx, spy, dw, dn, dpx, dpy, h, w):
+        """The warp written plainly: float32 source, out-of-place products
+        and sums, out-of-range rows/columns multiplied by 0."""
+        sh, sw = src.shape
+        fc = (dw + (np.arange(w, dtype=np.float64) + 0.5) * dpx - sw_) / spx - 0.5
+        fr = (sn - (dn - (np.arange(h, dtype=np.float64) + 0.5) * dpy)) / spy - 0.5
+        c0 = np.clip(np.floor(fc).astype(np.int64), 0, sw - 2)
+        r0 = np.clip(np.floor(fr).astype(np.int64), 0, sh - 2)
+        wc = np.clip(fc - c0, 0.0, 1.0).astype(np.float32)
+        wr = np.clip(fr - r0, 0.0, 1.0).astype(np.float32)
+        s = np.asarray(src, dtype=np.float32)
+        ri = s[r0] * (1.0 - wr)[:, None] + s[r0 + 1] * wr[:, None]
+        v = ri[:, c0] * (1.0 - wc)[None, :] + ri[:, c0 + 1] * wc[None, :]
+        v *= ((fr >= -0.5) & (fr <= sh - 0.5))[:, None].astype(np.float32)
+        v *= ((fc >= -0.5) & (fc <= sw - 0.5))[None, :].astype(np.float32)
+        return v
+
+    def test_bitwise_equal_to_plain_form_and_out(self):
+        """Shifts, scales and shapes of every caller (capture alignment,
+        ImageResize, ImageFeatures), uint16 and float32 sources: the
+        result, with and without ``out=``, has the plain form's bits."""
+        rng = np.random.default_rng(17)
+        for it in range(300):
+            sh, sw = (int(v) for v in rng.integers(2, 40, 2))
+            h, w = (int(v) for v in rng.integers(1, 40, 2))
+            src = rng.integers(0, 65536, (sh, sw)).astype(np.uint16)
+            if it % 3 == 0:
+                src = src.astype(np.float32) * np.float32(rng.random())
+            if it % 4 == 0:     # the resize form: unit extents
+                args = (0.0, 0.0, 1.0 / sw, 1.0 / sh,
+                        0.0, 0.0, 1.0 / w, 1.0 / h, h, w)
+            else:               # the alignment form: shifted, rescaled
+                px, py = rng.uniform(0.5, 2.0, 2) * 1e-5
+                dx, dy = rng.uniform(-6, 6, 2) * 1e-5
+                args = (5.0, 52.0, px, py, 5.0 + dx, 52.0 + dy,
+                        px * rng.uniform(0.3, 3), py * rng.uniform(0.3, 3),
+                        h, w)
+            want = self._reference(src, *args)
+            got = affine_bilinear_resample(src, *args)
+            into = np.full((h, w), np.nan, np.float32)
+            assert affine_bilinear_resample(src, *args, out=into) is into
+            for a in (got, into):
+                assert a.dtype == np.float32 and a.shape == (h, w)
+                assert a.tobytes() == want.tobytes(), it
+
+
 class TestKNNExtremeLatitudes:
     """ADVICE regression (knn.py ring-termination bound): the longitude-leg
     cosine bound must hold for queries OUTSIDE the station latitude extent.

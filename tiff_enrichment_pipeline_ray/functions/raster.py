@@ -10,7 +10,8 @@ Also provides the general affine bilinear resample used for band alignment
 (reference: processor.py:300-359 — reproject each band onto the band-3 grid
 with bilinear resampling; both grids are north-up WGS84 affine grids, so the
 warp reduces to an affine pixel-coordinate mapping + bilinear sampling;
-out-of-bounds fills 0 like rasterio's default).
+out-of-bounds fills 0 like rasterio's default). The same function serves
+the capture alignment and the ImageResize / ImageFeatures stages.
 """
 
 from __future__ import annotations
@@ -84,13 +85,23 @@ def affine_bilinear_resample(src: np.ndarray,
                              src_px: float, src_py: float,
                              dst_west: float, dst_north: float,
                              dst_px: float, dst_py: float,
-                             dst_h: int, dst_w: int) -> np.ndarray:
+                             dst_h: int, dst_w: int,
+                             out: np.ndarray | None = None) -> np.ndarray:
     """Resample ``src`` onto the destination north-up grid, bilinear, fill 0.
 
     Pixel (row, col) centers: lon = west + (col+0.5)·px,
     lat = north − (row+0.5)·py (px, py > 0 in degrees). Matches the semantics
     of rasterio.warp.reproject between two EPSG:4326 north-up grids
     (processor.py:330-343) up to resampling kernel details.
+
+    Returns a float32 (dst_h, dst_w) grid, written into ``out`` when given
+    (a float32 array of that shape, e.g. one band of a stack). Every value
+    is the float32 expression ``(a·(1−wr) + b·wr)·(1−wc) + (c·(1−wr) +
+    d·wr)·wc`` of the clamped neighbours, each product and sum rounded in
+    that order. Destination rows and columns more than half a pixel
+    outside the source are set to 0.0. Contract: ``src`` holds finite,
+    non-negative values (every caller passes decoded pixels); for those,
+    the 0.0 fill equals multiplying the interpolated value by 0.
     """
     sh, sw = src.shape
     cols = np.arange(dst_w, dtype=np.float64)
@@ -100,24 +111,40 @@ def affine_bilinear_resample(src: np.ndarray,
     fc = (lon - src_west) / src_px - 0.5          # (w,)
     fr = (src_north - lat) / src_py - 0.5         # (h,)
     # axis-aligned affine ⇒ the mapping is SEPARABLE: interpolate rows, then
-    # columns (two 1-D gathers instead of four (H,W) fancy-index gathers).
-    c0 = np.floor(fc).astype(np.int64)
-    r0 = np.floor(fr).astype(np.int64)
+    # columns (1-D index gathers instead of four (H,W) fancy-index gathers).
     # clamp base cell; weights relative to the CLAMPED base (constant
-    # extrapolation half a pixel beyond centers)
-    c0c = np.clip(c0, 0, sw - 2)
-    r0c = np.clip(r0, 0, sh - 2)
-    wc = np.clip(fc - c0c, 0.0, 1.0).astype(np.float32)
-    wr = np.clip(fr - r0c, 0.0, 1.0).astype(np.float32)
-    s = np.asarray(src, dtype=np.float32)
-    rows_interp = s[r0c] * (1.0 - wr)[:, None] + s[r0c + 1] * wr[:, None]
-    v = rows_interp[:, c0c] * (1.0 - wc)[None, :] \
-        + rows_interp[:, c0c + 1] * wc[None, :]
-    near_c = (fc >= -0.5) & (fc <= sw - 0.5)
-    near_r = (fr >= -0.5) & (fr <= sh - 0.5)
-    v *= near_r[:, None].astype(np.float32)
-    v *= near_c[None, :].astype(np.float32)
-    return v
+    # extrapolation half a pixel beyond centers); minimum(maximum(·)) is
+    # np.clip without its wrapper's per-call cost
+    c0c = np.minimum(np.maximum(np.floor(fc).astype(np.int64), 0), sw - 2)
+    r0c = np.minimum(np.maximum(np.floor(fr).astype(np.int64), 0), sh - 2)
+    wc = np.minimum(np.maximum(fc - c0c, 0.0), 1.0).astype(np.float32)
+    wr = np.minimum(np.maximum(fr - r0c, 0.0), 1.0).astype(np.float32)
+    # rows: ri = s[r0]·(1−wr) + s[r0+1]·wr; the gathered rows' promotion to
+    # float32 is exact
+    ri = np.asarray(src[r0c], dtype=np.float32)
+    ri *= (1.0 - wr)[:, None]
+    tmp = np.asarray(src[r0c + 1], dtype=np.float32)
+    tmp *= wr[:, None]
+    ri += tmp
+    # columns: v = ri[:, c0]·(1−wc) + ri[:, c0+1]·wc, gathered as rows of
+    # the transpose (a row gather copies whole rows; a column gather
+    # copies element by element)
+    rt = ri.T.copy()
+    vt = rt[c0c]
+    vt *= (1.0 - wc)[:, None]
+    tmp = rt[c0c + 1]
+    tmp *= wc[:, None]
+    vt += tmp
+    if out is None:
+        out = np.empty((dst_h, dst_w), dtype=np.float32)
+    out[...] = vt.T
+    # zero fill: fr and fc are monotone in the index, so a row or column
+    # lies out of range only if an end point does
+    if dst_h and not (-0.5 <= fr[0] <= sh - 0.5 and -0.5 <= fr[-1] <= sh - 0.5):
+        out[(fr < -0.5) | (fr > sh - 0.5)] = 0.0
+    if dst_w and not (-0.5 <= fc[0] <= sw - 0.5 and -0.5 <= fc[-1] <= sw - 0.5):
+        out[:, (fc < -0.5) | (fc > sw - 0.5)] = 0.0
+    return out
 
 
 def slope_aspect(grid, dx_m, dy_m):

@@ -273,11 +273,16 @@ def _pixel_stats(px: np.ndarray) -> tuple:
     accumulation on the uint16 array is bit-identical to
     ``.astype(float64).mean()/.std()`` (same pairwise reduction over the
     same promoted values, tested), while a sum over the sorted order would
-    round differently."""
+    round differently. The std reuses the mean and runs the operations of
+    NumPy's ``_var`` (px − mean in float64, squared in place, summed,
+    ÷ n, sqrt), so it is bit-identical without a second mean pass."""
     s = np.sort(px.ravel(), kind="stable")
     n = s.size
+    mean = px.mean(dtype=np.float64)
+    d = np.subtract(px, mean, dtype=np.float64)
+    d *= d
     out = [int(s[0]), int(s[-1]),
-           float(px.mean(dtype=np.float64)), float(px.std(dtype=np.float64)),
+           float(mean), float(np.sqrt(d.sum() / n)),
            int(np.searchsorted(s, 1)) / n]
     for vi in (0.25 * (n - 1), 0.5 * (n - 1), 0.75 * (n - 1)):
         lo = int(vi)
@@ -372,7 +377,9 @@ def _make_decode_stats_capture_stage(caps_dir: str | None,
                 pc.not_equal(t.column("capture_id"), pa.scalar("")))
             midx = np.flatnonzero(mask.to_numpy(zero_copy_only=False))
             if len(midx):
-                mica = t.select(capture_stage.CAPTURE_SHUFFLE_COLS) \
+                # the kernel reads the decoded ``_px``, never ``bytes``
+                mica = t.select([c for c in capture_stage.CAPTURE_SHUFFLE_COLS
+                                 if c != "bytes"]) \
                     .take(pa.array(midx)).to_pandas()
                 mica["_px"] = [pixels[i] for i in midx]
                 done, orphans = capture_stage.split_local_complete(mica)

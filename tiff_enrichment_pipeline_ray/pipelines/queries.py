@@ -9117,9 +9117,9 @@ def events_gini(sf_dir: str):
     """Gini coefficient of per-user activity (the inequality /
     concentration audit: is the corpus a few power users or a broad
     base?): G = Σ (2i − n − 1)·cᵢ / (n·Σc) over user event-counts cᵢ
-    ascending by (count, user_id) — every term exact int64, so both
-    engines divide the same integers (bit-exact before round-6). Output
-    one row (n_users, gini).
+    ascending by (count, user_id) — every term an exact Python int (no
+    int64 wrap), so both engines divide the same integers (bit-exact
+    before round-6). Output one row (n_users, gini).
 
     Scale shape: the corpus-scale work is ONE `_preagg` to per-user
     counts; the ranked sum runs on that user-bounded census
@@ -9127,11 +9127,11 @@ def events_gini(sf_dir: str):
     statistic beyond ~10⁷ users — same output, documented boundary)."""
     ev = read_testdata(sf_dir, "events", columns=["user_id"])
     cnt = _preagg(ev, ["user_id"], [("c", None, "count")]).to_pandas()
-    c = cnt.sort_values(["c", "user_id"]).c.to_numpy(np.int64)
+    c = cnt.sort_values(["c", "user_id"]).c.to_numpy(np.int64).tolist()
     n = len(c)
-    i = np.arange(1, n + 1, dtype=np.int64)
-    num = int(((2 * i - n - 1) * c).sum())
-    den = int(n * c.sum())
+    # Python ints: (2i − n − 1)·cᵢ and n·Σc wrap int64 on large counts
+    num = sum((2 * i - n - 1) * ci for i, ci in enumerate(c, 1))
+    den = n * sum(c)
     return pd.DataFrame({"n_users": [np.int64(n)],
                          "gini": [round(float(num) / float(den), 6)]})
 
@@ -9356,9 +9356,9 @@ def events_mann_whitney(sf_dir: str, type_a: str = "view",
     move?'): U_a from midrank sums over the pooled census, z-score with
     the tie-correction term. Midranks are (i + j + 1)/2 of exact integer
     cumulative counts and every Σ term stays integer (×2 lifting makes
-    midrank sums exact int64), so both engines feed identical integers
-    into the final float expression (term-identical, round-6). Output
-    one row (n_a, n_b, u_a, z round-6).
+    midrank sums exact; the sums are Python ints, so no int64 wrap), so
+    both engines feed identical integers into the final float expression
+    (term-identical, round-6). Output one row (n_a, n_b, u_a, z round-6).
 
     Scale shape: the events_ks_drift census pattern — ONE `_preagg` to
     the bounded (value, type) table, rank arithmetic on the census."""
@@ -9389,11 +9389,12 @@ def events_mann_whitney(sf_dir: str, type_a: str = "view",
     cum = np.cumsum(tt)
     # 2×midrank of each distinct value = (cum_before + cum) + 1, exact int
     mr2 = (cum - tt) + cum + 1
-    r2a = int((mr2 * ca).sum())            # 2 × rank-sum of sample a
+    # Σ terms in Python ints: mr2·ca and tt³ wrap int64 (tt³ past 2²¹)
+    r2a = sum(m * a for m, a in zip(mr2.tolist(), ca.tolist()))
     n = na + nb
     u2a = r2a - na * (na + 1)              # 2 × U_a, exact int
     mu2 = na * nb                          # 2 × E[U]
-    tie = int((tt * tt * tt - tt).sum())
+    tie = sum(t * t * t - t for t in tt.tolist())
     var = (na * nb / 12.0) * ((n + 1) - tie / float(n * (n - 1)))
     z = (u2a - mu2) / (2.0 * np.sqrt(var))
     return pd.DataFrame({

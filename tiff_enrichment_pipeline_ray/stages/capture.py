@@ -15,7 +15,13 @@ kernel (process_bucket):
      (processor.py:300-359); without GPS/transform the bands stack as-is
      (identity path); clip → uint16;
   3. radiometric calibration ×10000 clip [0,65535] → uint16
-     (processor.py:361-399);
+     (processor.py:361-399). Applied to a uint16 input this maps onto
+     eight levels only: a DN d gives min(d·10000, 65535), i.e.
+     {0, 10000, 20000, 30000, 40000, 50000, 60000, 65535} for d = 0..6
+     and d ≥ 7. So steps 2-3 on an aligned float32 value v ≥ 0 equal
+     min(trunc(v)·10000, 65535) in float32, which the kernel computes
+     in three in-place passes over the (5, H, W) stack
+     (indices.calibrate keeps the reference form);
   4. the selected vegetation indices (all 8 by default; PipelineConfig
      .indices) on the calibrated float32 bands with the exact
      processor.py:479-550 math, quantized (x+1)·32767.5 → uint16
@@ -67,7 +73,15 @@ def _calibrated_stack(cols: dict, idx: np.ndarray):
     """Steps 2-3 for one complete capture, ``idx`` = its 5 band rows sorted
     by band: decode (or take the stats stage's ``_px``), align onto the
     band-3 grid, clip → uint16, calibrate. → float32 (5, H, W), or None
-    when a band does not decode."""
+    when a band does not decode.
+
+    Each band is written straight into the stack (a copy, or the warp's
+    ``out=``); calibration is then three in-place passes over the whole
+    stack. The aligned values are finite and non-negative (bilinear
+    weights in [0, 1] over uint16 pixels), and for those the reference
+    chain clip [0, 65535] → uint16 → ×10000 → clip → uint16 → float32
+    equals min(trunc(v)·10000, 65535) in float32 (module docstring,
+    step 3)."""
     decoded = []
     pre = cols.get("_px")  # pixels already decoded by the stats stage
     for i in idx:
@@ -82,22 +96,24 @@ def _calibrated_stack(cols: dict, idx: np.ndarray):
     for k, (i, px) in enumerate(zip(idx, decoded)):
         if (k == REFERENCE_BAND - 1 or not have_geo
                 or not np.isfinite(cols["px_deg"][i])):
-            src = px.astype(np.float32)
-            if src.shape != (H, W):
-                src = affine_bilinear_resample(
+            if px.shape == (H, W):
+                stack[k] = px
+            else:
+                affine_bilinear_resample(
                     px, 0.0, 0.0, 1.0, 1.0, 0.0, 0.0,
-                    src.shape[1] / W, src.shape[0] / H, H, W)
-            stack[k] = src[:H, :W]
+                    px.shape[1] / W, px.shape[0] / H, H, W, out=stack[k])
         else:
-            stack[k] = affine_bilinear_resample(
+            affine_bilinear_resample(
                 px,
                 float(cols["west"][i]), float(cols["north"][i]),
                 float(cols["px_deg"][i]), float(cols["py_deg"][i]),
                 float(cols["west"][r]), float(cols["north"][r]),
                 float(cols["px_deg"][r]), float(cols["py_deg"][r]),
-                H, W)
-    aligned_u16 = np.clip(stack, 0, 65535).astype("uint16")   # :345
-    return indices.calibrate(aligned_u16.astype("float32")).astype("float32")
+                H, W, out=stack[k])
+    np.trunc(stack, out=stack)                 # clip → uint16 (:345)
+    stack *= 10000.0                           # calibrate (:381-382)
+    np.minimum(stack, 65535.0, out=stack)
+    return stack
 
 
 def _one_capture(cid: str, cols: dict, idx: np.ndarray,
@@ -138,8 +154,9 @@ def _one_capture(cid: str, cols: dict, idx: np.ndarray,
 
 def process_bucket(df: pd.DataFrame, index_names=ALL_INDICES,
                    ndvi_variant="processor") -> pd.DataFrame:
-    """One hash bucket of captures → one row per capture (deterministic
-    capture_id order)."""
+    """A group of captures' band rows (one block's complete-in-block
+    captures, or a partition's whole orphan spill) → one row per capture
+    (deterministic capture_id order)."""
     cols = {c: df[c].to_numpy() for c in df.columns}
     cids = cols["capture_id"]
     order = np.argsort(cids, kind="stable")
@@ -164,10 +181,11 @@ def split_local_complete(df: pd.DataFrame):
     A capture has ≤1 row per band (image_id is unique), so a capture whose
     full band set {1..5} appears inside one block is globally complete and
     can be processed WITHOUT any shuffle; rows of captures only partially
-    present in this block are orphans, spilled and bucketed by capture_id,
-    then decided globally (complete vs incomplete_set). This keeps the wide
-    `bytes` column out of the main exchange for co-located captures —
-    SURVEY §7.4-3 (never shuffle pixels when metadata suffices).
+    present in this block are orphans, spilled to one file per decode task
+    and resolved together in one task after the main pass (complete vs
+    incomplete_set). This keeps the wide `bytes` column out of the main
+    exchange for co-located captures — SURVEY §7.4-3 (never shuffle
+    pixels when metadata suffices).
     """
     cid = df["capture_id"].to_numpy()
     band = df["band"].to_numpy()
