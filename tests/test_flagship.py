@@ -217,6 +217,35 @@ class TestAccounting:
             lambda l: "decode_failed" in list(l)).all()
         assert not set(failed_df.image_id) & set(enriched_df.image_id)
 
+    def test_empty_grid_row_quarantined(self, tiny_images_dir, layers_dir,
+                                        tmp_path):
+        """A GI01 payload holding a 0×0 grid is a failed decode: its row
+        lands in the failed tree and the rest of its block is still
+        enriched."""
+        import pyarrow as pa
+
+        f = sorted(glob.glob(os.path.join(tiny_images_dir, "*.parquet")))[0]
+        t = pq.read_table(f).slice(0, 24)
+        df = t.to_pandas()
+        df.at[0, "bytes"] = codec.encode_image(np.zeros((0, 0), np.uint16),
+                                               "raw", {})
+        in_dir = tmp_path / "in"
+        os.makedirs(in_dir)
+        pq.write_table(pa.Table.from_pandas(df, schema=t.schema,
+                                            preserve_index=False),
+                       str(in_dir / "images-000.parquet"))
+        out = str(tmp_path / "out")
+        flagship.run_flagship(str(in_dir), out, resume=False,
+                              layers_dir=layers_dir)
+        failed = flagship.read_failed(out).to_pandas()
+        enriched = flagship.read_enriched(out).to_pandas()
+        assert df.image_id[0] in set(failed.image_id)
+        good = {i for i, b in zip(df.image_id, df.bytes)
+                if codec.decode_image(b)[2]}
+        assert len(good) > len(df) // 2
+        assert set(enriched.image_id) == good
+        assert set(failed.image_id) == set(df.image_id) - good
+
     def test_manifest_lineage(self, flag_out):
         out, _ = flag_out
         from tiff_enrichment_pipeline_ray.state.manifest import Manifest
@@ -983,6 +1012,32 @@ class TestStorageContract:
                                                       tmp_path):
         d = str(tmp_path / "shared")
         flagship.assert_worker_reachable(d)
+        assert glob.glob(os.path.join(d, ".reach_probe_*")) == []
+
+    def test_worker_reachable_probe_reads_on_every_alive_node(
+            self, ray_session, tmp_path, monkeypatch):
+        """The probe pins one reader to every alive node of ray.nodes()
+        (hard node affinity) and skips dead nodes."""
+        import ray
+        from ray.util import scheduling_strategies
+
+        me = ray.get_runtime_context().get_node_id()
+        monkeypatch.setattr(ray, "nodes", lambda: [
+            {"NodeID": me, "Alive": True},
+            {"NodeID": "f" * len(me), "Alive": False},
+            {"NodeID": me, "Alive": True}])
+        pinned = []
+        real = scheduling_strategies.NodeAffinitySchedulingStrategy
+
+        def spy(node_id, soft):
+            pinned.append((node_id, soft))
+            return real(node_id, soft=soft)
+
+        monkeypatch.setattr(scheduling_strategies,
+                            "NodeAffinitySchedulingStrategy", spy)
+        d = str(tmp_path / "shared")
+        flagship.assert_worker_reachable(d)
+        assert pinned == [(me, False), (me, False)]
         assert glob.glob(os.path.join(d, ".reach_probe_*")) == []
 
     def test_side_channel_dir_relocates_orphan_spill(

@@ -2,12 +2,13 @@
 DuckDB oracle at sf0.001 (schema + rows + order-insensitive values) — the
 same compare the driver performs at sf0.01."""
 
-import numpy as np
+import os
 import sys
 
+import numpy as np
 import pytest
 
-sys.path.insert(0, "/root/repo")
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 
 @pytest.fixture(scope="module")
@@ -1647,6 +1648,81 @@ class TestRound5Crafted:
         assert compare("geo_ripley_k", got, want, exact=True) is None
         assert got.n_pairs.tolist() == [2, 2, 2]
 
+    def test_ripley_dense_cell_counts_positions(self, ray_session, tmp_path,
+                                                monkeypatch):
+        """2,000 events on 4 positions of one 0.031° cell plus scattered
+        points: n_pairs equals the closed-form ordered-pair count
+        Σ m_p·m_q over position pairs with d² ≤ r², minus n, and the
+        DuckDB oracle, exactly. With the bucket reducer run in process, a
+        spy on _positions sees the dense cell contract to its positions,
+        so the in-bucket candidate frame (home positions × positions) is
+        bounded by positions, not points."""
+        import pandas as pd
+        import ray.data
+
+        from tiff_enrichment_pipeline_ray.pipelines import queries as Q
+        from tools.minidriver import compare, to_pandas
+
+        period = 872_900  # lcm(2900, 7·4300): ids this far apart coincide
+        # base id → multiplicity; (lat, lon) offsets in 0.001°: (1000, 1000),
+        # (1001, 1000), (1000, 1014), (1020, 1017) — pairs at 0.001, 0.014
+        # and 0.027 apart, so each radius admits a different set
+        dense = {398300: 700, 398301: 600, 157600: 400, 157620: 300}
+        ids = [b + j * period for b, m in dense.items() for j in range(m)]
+        ids += [0, 50_000, 1_234_567, 2_000_000, 3_333_333]
+        df = pd.DataFrame({"event_id": np.array(ids, dtype=np.int64),
+                           "ts": pd.Timestamp("2024-01-01"), "user_id": 1})
+        sf = _write_events(tmp_path, df)
+
+        eid = df.event_id.to_numpy(np.int64)
+        pos = pd.DataFrame({"lat": 50.7 + (eid % 2900) / 1000.0,
+                            "lon": 3.0 + ((eid // 7) % 4300) / 1000.0})
+        pos = pos.groupby(["lat", "lon"]).size().reset_index(name="m")
+        assert len(pos) == 4 + 5
+        lat, lon, m = (pos[c].to_numpy() for c in ("lat", "lon", "m"))
+        dlat = lat[:, None] - lat[None, :]
+        dlon = lon[:, None] - lon[None, :]
+        d2 = 1.8 * dlat * dlat + dlon * dlon
+        closed = [int((np.outer(m, m) * (d2 <= r * r)).sum()) - len(eid)
+                  for r in Q._RIPLEY_RADII]
+        assert len(set(closed)) == 3
+
+        got = to_pandas(Q.geo_ripley_k(sf))
+        assert got.n_pairs.tolist() == closed
+        want = _events_oracle(sf, "geo_ripley_k")
+        assert compare("geo_ripley_k", got, want, exact=True) is None
+
+        seen = []
+        real = Q._positions
+
+        def spy(frame):
+            out = real(frame)
+            seen.append((len(frame), len(out)))
+            return out
+
+        class InProcess:
+            """groupby(key).map_groups(fn) run in this process, so the
+            spy sees every bucket."""
+
+            def __init__(self, ds, key):
+                self.ds, self.key = ds, key
+
+            def map_groups(self, fn, **kw):
+                df = self.ds.to_pandas()
+                return ray.data.from_pandas(pd.concat(
+                    [fn(g) for _, g in df.groupby(self.key)],
+                    ignore_index=True))
+
+        monkeypatch.setattr(Q, "_positions", spy)
+        monkeypatch.setattr(ray.data.Dataset, "groupby",
+                            lambda ds, key: InProcess(ds, key))
+        local = to_pandas(Q.geo_ripley_k(sf))
+        monkeypatch.undo()
+        pd.testing.assert_frame_equal(local, got)
+        assert max(n for n, _ in seen) >= 2000
+        # every position (9) has at most 9 cell copies (home + 8 ghosts)
+        assert max(k for _, k in seen) <= 9 * len(pos)
+
     def test_quadtree_skewed_refinement(self, ray_session, tmp_path):
         """All mass in one corner: the quadtree must refine ONLY the
         occupied branch to the bottom level and keep everything else
@@ -1965,3 +2041,45 @@ def test_gini_exact_past_int64(monkeypatch):
     assert max(abs(num), den) > 2 ** 63
     assert got.n_users.tolist() == [n]
     assert got.gini.tolist() == [round(float(num) / float(den), 6)]
+
+
+# Dataset groupby/sort/repartition calls while building each operator that
+# shares the home+ghost grid exchange (_grid_copies). One grid exchange
+# each (Ray's groupby sorts once per groupby); beyond it, nearest-neighbor
+# and co-location add one `_preagg` census, bivariate Moran one
+# repartition(1) final sum, and DBSCAN three bucketed merges, one `_preagg`
+# min and the repartition(1) union-find task.
+_GRID_OP_EXCHANGES = {
+    "geo_getis_hotspots": {"groupby": 1, "sort": 1},
+    "geo_bivariate_moran": {"groupby": 1, "sort": 1, "repartition": 1},
+    "geo_dbscan_clusters": {"groupby": 5, "sort": 5, "repartition": 1},
+    "geo_ripley_k": {"groupby": 1, "sort": 1},
+    "geo_nearest_neighbor_stats": {"groupby": 2, "sort": 2},
+    "geo_colocation_quotient": {"groupby": 2, "sort": 2},
+    "geo_knn_join": {"groupby": 1, "sort": 1},
+    "geo_near_pairs": {"groupby": 1, "sort": 1},
+    "geo_distance_join": {"groupby": 1, "sort": 1},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_GRID_OP_EXCHANGES))
+def test_grid_op_exchange_shape(gate, name, monkeypatch):
+    import ray.data
+
+    from tiff_enrichment_pipeline_ray.pipelines import queries as Q
+
+    _entry, _con, sf_dir = gate
+    calls = {}
+
+    def counting(method):
+        real = getattr(ray.data.Dataset, method)
+
+        def wrapper(self, *a, **kw):
+            calls[method] = calls.get(method, 0) + 1
+            return real(self, *a, **kw)
+        return wrapper
+
+    for method in ("groupby", "sort", "repartition"):
+        monkeypatch.setattr(ray.data.Dataset, method, counting(method))
+    getattr(Q, name)(sf_dir)
+    assert calls == _GRID_OP_EXCHANGES[name]

@@ -2,12 +2,13 @@
 PNG codec roundtrip, colormap endpoints, index-vis stats vs brute force,
 and the Ray-side export datasets."""
 
+import os
 import sys
 
 import numpy as np
 import pytest
 
-sys.path.insert(0, "/root/repo")
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 from tiff_enrichment_pipeline_ray.functions import codec, viz
 

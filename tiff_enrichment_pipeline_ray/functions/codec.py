@@ -94,6 +94,8 @@ def decode_image(blob: bytes):
             return None, {}, False
         off = _HDR.size
         meta = decode_meta(blob[off:off + mlen])
+        if w * h == 0:  # an empty grid has no pixel stats: quarantine it
+            return None, meta, False
         off += mlen
         (plen,) = struct.unpack_from("<I", blob, off)
         off += 4

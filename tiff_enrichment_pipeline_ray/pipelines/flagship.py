@@ -437,13 +437,14 @@ def assert_worker_reachable(path: str) -> None:
     """Enforce the multi-node storage contract (PipelineConfig
     .side_channel_dir): every path worker tasks write through
     (out_dir trees, the orphan spill) must be on storage visible to
-    every node. Probe = driver writes a token file, a SPREAD-scheduled
-    Ray task must read it back. Trivially true single-node; on a real
-    cluster it fails fast (before any data is written) when out_dir is a
-    node-local path."""
+    every node. Probe = driver writes a token file, and one reader task
+    pinned to each alive node (hard node affinity) must read it back.
+    Trivially true single-node; on a real cluster it fails fast (before
+    any data is written) when out_dir is a node-local path."""
     import uuid
 
     import ray as _ray
+    from ray.util.scheduling_strategies import NodeAffinitySchedulingStrategy
 
     os.makedirs(path, exist_ok=True)
     token = uuid.uuid4().hex
@@ -460,13 +461,15 @@ def assert_worker_reachable(path: str) -> None:
             return None
 
     try:
-        seen = _ray.get(_read.options(
-            scheduling_strategy="SPREAD").remote(probe))
-        if seen != token:
+        seen = _ray.get([_read.options(
+            scheduling_strategy=NodeAffinitySchedulingStrategy(
+                n["NodeID"], soft=False)).remote(probe)
+            for n in _ray.nodes() if n["Alive"]])
+        if any(s != token for s in seen):
             raise RuntimeError(
                 f"storage contract violation: {path!r} is not visible from "
-                f"worker tasks — out_dir/side_channel_dir must be shared "
-                f"storage on a multi-node cluster")
+                f"worker tasks on every node — out_dir/side_channel_dir "
+                f"must be shared storage on a multi-node cluster")
     finally:
         try:
             os.remove(probe)

@@ -3555,53 +3555,43 @@ def geo_distance_join(sf_dir: str, radius: int = 20):
     the haversine variant is geo_knn_station's domain).
 
     The distributed plan is the canonical cell-bucket range join: each point
-    lands HOME in its (mlat//R, mlon//R) cell and is GHOST-replicated to the
-    8 neighbor cells (a 9× shuffle of slim integer keys, never the payload);
-    every pair within R is then local to exactly one home group, and
-    per-group counting is a vectorized O(g²) over bounded groups (cell size
-    = R caps the group radius; skewed cells would be salted exactly like
-    the flagship's census plan). Output: per-event neighbor count + min
-    squared distance, events with ≥1 neighbor."""
+    lands HOME in its (mlon//R, mlat//R) cell and is GHOST-replicated to the
+    8 neighbor cells (_grid_copies: a 9× shuffle of slim integer keys, never
+    the payload), grouped by cell BUCKET; every pair within R is then local
+    to exactly one home cell, and each bucket counts its home × cell
+    candidates with one merge on cell (cell size = R caps the group radius;
+    skewed cells would be salted exactly like the flagship's census plan).
+    Output: per-event neighbor count + min squared distance, events with ≥1
+    neighbor."""
     ev = read_testdata(sf_dir, "events", columns=["event_id"])
+    nbk = _nbuckets(9 * _pq_nrows(testdata_path(sf_dir, "events")),
+                    rows_per_bucket=8192, lo=32)
     r2 = radius * radius
 
     def replicate(df: pd.DataFrame) -> pd.DataFrame:
         eid = df.event_id.to_numpy(np.int64)
         mlat = eid % 2900
         mlon = (eid // 7) % 4300
-        cy, cx = mlat // radius, mlon // radius
-        outs = []
-        for dy in (-1, 0, 1):
-            for dx in (-1, 0, 1):
-                outs.append(pd.DataFrame({
-                    "cell": (cy + dy) * 100000 + (cx + dx),
-                    "event_id": eid, "mlat": mlat, "mlon": mlon,
-                    "is_home": (dy == 0) & (dx == 0)}))
-        return pd.concat(outs, ignore_index=True)
+        return _grid_copies(mlon // radius, mlat // radius,
+                            {"event_id": eid, "mlat": mlat, "mlon": mlon},
+                            nbk)
 
-    pts = ev.map_batches(replicate, batch_format="pandas")
+    def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
+        cols = ["cell", "event_id", "mlat", "mlon"]
+        m = g[g.home][cols].merge(g[cols], on="cell", suffixes=("_a", "_b"))
+        dy = m.mlat_a.to_numpy(np.int64) - m.mlat_b.to_numpy(np.int64)
+        dx = m.mlon_a.to_numpy(np.int64) - m.mlon_b.to_numpy(np.int64)
+        d2 = dy * dy + dx * dx
+        ida = m.event_id_a.to_numpy(np.int64)
+        keep = (ida != m.event_id_b.to_numpy(np.int64)) & (d2 <= r2)
+        out = (pd.DataFrame({"event_id": ida[keep], "d2": d2[keep]})
+               .groupby("event_id", sort=False).d2.agg(["size", "min"]))
+        return pd.DataFrame({"event_id": out.index.to_numpy(np.int64),
+                             "n_neighbors": out["size"].to_numpy(np.int64),
+                             "min_d2": out["min"].to_numpy(np.int64)})
 
-    def per_cell(g: pd.DataFrame) -> pd.DataFrame:
-        home = g[g.is_home]
-        if home.empty:
-            return pd.DataFrame({"event_id": pd.Series(dtype=np.int64),
-                                 "n_neighbors": pd.Series(dtype=np.int64),
-                                 "min_d2": pd.Series(dtype=np.int64)})
-        ay = home.mlat.to_numpy(np.int64)[:, None]
-        ax = home.mlon.to_numpy(np.int64)[:, None]
-        by = g.mlat.to_numpy(np.int64)[None, :]
-        bx = g.mlon.to_numpy(np.int64)[None, :]
-        d2 = (ay - by) ** 2 + (ax - bx) ** 2
-        same = home.event_id.to_numpy()[:, None] == g.event_id.to_numpy()[None, :]
-        near = (d2 <= r2) & ~same
-        n = near.sum(axis=1).astype(np.int64)
-        d2m = np.where(near, d2, np.iinfo(np.int64).max).min(axis=1)
-        keep = n > 0
-        return pd.DataFrame({"event_id": home.event_id.to_numpy()[keep],
-                             "n_neighbors": n[keep],
-                             "min_d2": d2m[keep].astype(np.int64)})
-
-    return pts.groupby("cell").map_groups(per_cell, batch_format="pandas")
+    return (ev.map_batches(replicate, batch_format="pandas")
+            .groupby("bk").map_groups(per_bucket, batch_format="pandas"))
 
 
 def sample_weighted(sf_dir: str, k: int = 20):
@@ -4717,6 +4707,60 @@ def embedding_semantic_dedup(sf_dir: str, k: int = 8,
 
 
 _GRID_LON0, _GRID_LAT0 = 3.0, 50.7
+_GRID_NXY = 4096  # cells per axis bound: cell ids never alias (gy < NXY)
+_NBR8 = tuple((dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1)
+              if dx or dy)  # the 8 ghost offsets of a 3x3 stencil, dx-major
+
+
+def _grid_copies(cx, cy, cols: dict, nbk: int,
+                 offsets=_NBR8) -> pd.DataFrame:
+    """Map side of the home+ghost grid exchange. Integer cell coordinates
+    (cx, cy) and payload ``cols`` (name → array) → one ``home`` row per
+    point in its own cell, plus one ghost row per (dx, dy) in ``offsets``
+    whose cell lies on the grid (gx, gy ≥ 0, gy < _GRID_NXY), with
+    ``cell = gx·_GRID_NXY + gy`` and shuffle bucket ``bk = cell % nbk``.
+    Every pair within one cell of each other then meets in the home cell
+    of its first point, inside one bucket group.
+
+    Rows come home first, then ghosts in ``offsets`` order, so in-bucket
+    float sums add in a fixed order."""
+    frames = [pd.DataFrame({"cell": cx * _GRID_NXY + cy, "home": True,
+                            **cols})]
+    for dx, dy in offsets:
+        gx, gy = cx + dx, cy + dy
+        ok = (gx >= 0) & (gy >= 0) & (gy < _GRID_NXY)
+        frames.append(pd.DataFrame({"cell": (gx * _GRID_NXY + gy)[ok],
+                                    "home": False,
+                                    **{k: v[ok] for k, v in cols.items()}}))
+    out = pd.concat(frames, ignore_index=True)
+    out["bk"] = out.cell.to_numpy() % nbk
+    return out
+
+
+def _band_pairs(g: pd.DataFrame, cols, e2) -> pd.DataFrame:
+    """Reduce side of the home+ghost exchange over one bucket frame ``g``
+    (_grid_copies rows): every (home a, any b) pair sharing a cell with
+    id_a ≠ id_b and scaled-euclidean 1.8·dlat² + dlon² ≤ e2. Carries
+    ``cols`` (which include id/lon/lat) suffixed _a/_b, plus the pair's
+    ``d2``. Candidate pairs exist only inside this one bucket task."""
+    cols = ["cell", *cols]
+    m = g[g.home][cols].merge(g[cols], on="cell", suffixes=("_a", "_b"))
+    dlat = m.lat_a.to_numpy() - m.lat_b.to_numpy()
+    dlon = m.lon_a.to_numpy() - m.lon_b.to_numpy()
+    m["d2"] = 1.8 * dlat * dlat + dlon * dlon
+    return m[(m.id_a.to_numpy() != m.id_b.to_numpy())
+             & (m.d2.to_numpy() <= e2)]
+
+
+def _positions(frame: pd.DataFrame) -> pd.DataFrame:
+    """Position contraction of a bucket frame (_grid_copies rows): one row
+    per unique (cell, lat, lon, home) with multiplicity ``m`` and smallest
+    ``rep`` id, so pair terms scale with positions, not points. A
+    position's rows in one cell are all home or all ghosts (the home cell
+    is a function of the coordinates). The float groupby is exact:
+    co-located points carry bit-identical integer-derived doubles."""
+    g = frame.groupby(["cell", "lat", "lon", "home"], sort=False).id
+    return pd.DataFrame({"m": g.size(), "rep": g.min()}).reset_index()
 
 
 def _rect_layer(df: pd.DataFrame) -> pd.DataFrame:
@@ -4833,7 +4877,6 @@ def geo_near_pairs(sf_dir: str, eps: float = 0.01):
     C-level pandas merges; the exact predicate is expression-identical to
     the SQL (products, no pow — numpy-vec-pow vs libm diverges by 1 ulp)."""
     CELL = 0.012
-    NXY = 4096  # cells per axis bound; cx,cy < 400 here, no id aliasing
     ev, ne = _spread_read(sf_dir, "events", ["event_id"])
     nbk = _nbuckets(5 * ne, rows_per_bucket=8192, lo=32)
     e2 = np.float64(eps) * np.float64(eps)
@@ -4842,25 +4885,16 @@ def geo_near_pairs(sf_dir: str, eps: float = 0.01):
         p = _event_points(df)
         lon = p.lon.to_numpy()
         lat = p.lat.to_numpy()
-        ids = p.event_id.to_numpy(np.int64)
         cx = np.floor((lon - _GRID_LON0) / CELL).astype(np.int64)
         cy = np.floor((lat - _GRID_LAT0) / CELL).astype(np.int64)
-        frames = [pd.DataFrame({"cell": cx * NXY + cy, "ghost": False,
-                                "id": ids, "lon": lon, "lat": lat})]
-        # the four lexicographically-SMALLER neighbors of (cx, cy)
-        for gx, gy in ((cx - 1, cy - 1), (cx - 1, cy), (cx - 1, cy + 1),
-                       (cx, cy - 1)):
-            ok = (gx >= 0) & (gy >= 0) & (gy < NXY)  # no wrap aliasing
-            frames.append(pd.DataFrame({
-                "cell": (gx * NXY + gy)[ok], "ghost": True,
-                "id": ids[ok], "lon": lon[ok], "lat": lat[ok]}))
-        out = pd.concat(frames, ignore_index=True)
-        out["bk"] = out.cell.to_numpy() % nbk
-        return out
+        # half stencil: the four lexicographically-SMALLER neighbors
+        return _grid_copies(cx, cy, {"id": p.event_id.to_numpy(np.int64),
+                                     "lon": lon, "lat": lat}, nbk,
+                            offsets=((-1, -1), (-1, 0), (-1, 1), (0, -1)))
 
     def pair_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        home = g[~g.ghost]
-        gho = g[g.ghost]
+        home = g[g.home]
+        gho = g[~g.home]
         cols = ["cell", "id", "lon", "lat"]
         hh = home[cols].merge(home[cols], on="cell", suffixes=("_a", "_b"))
         hh = hh[hh.id_a.to_numpy() < hh.id_b.to_numpy()]
@@ -5053,7 +5087,6 @@ def geo_knn_join(sf_dir: str, k: int = 3, radius: float = 0.02):
     top-k cut is one vectorized sort + cumcount over the whole bucket. No
     driver state, no all-pairs blowup."""
     CELL = 0.024
-    NXY = 4096  # cells per axis bound; cx,cy < ~200 here, no id aliasing
     ev, ne = _spread_read(sf_dir, "events", ["event_id"])
     od, no = _spread_read(sf_dir, "orders", ["o_orderkey"])
     nbk = _nbuckets(ne + 9 * no, rows_per_bucket=8192, lo=32)
@@ -5061,33 +5094,23 @@ def geo_knn_join(sf_dir: str, k: int = 3, radius: float = 0.02):
 
     def point_rows(df: pd.DataFrame) -> pd.DataFrame:
         p = _event_points(df)
-        cx = np.floor((p.lon.to_numpy() - _GRID_LON0) / CELL).astype(np.int64)
-        cy = np.floor((p.lat.to_numpy() - _GRID_LAT0) / CELL).astype(np.int64)
-        cell = cx * NXY + cy
-        return pd.DataFrame({"cell": cell,
-                             "id": p.event_id.to_numpy(np.int64),
-                             "lon": p.lon, "lat": p.lat,
-                             "bk": cell % nbk})
+        lon = p.lon.to_numpy()
+        lat = p.lat.to_numpy()
+        cx = np.floor((lon - _GRID_LON0) / CELL).astype(np.int64)
+        cy = np.floor((lat - _GRID_LAT0) / CELL).astype(np.int64)
+        return _grid_copies(cx, cy, {"id": p.event_id.to_numpy(np.int64),
+                                     "lon": lon, "lat": lat}, nbk,
+                            offsets=())
 
     def site_rows(df: pd.DataFrame) -> pd.DataFrame:
         r = _rect_layer(df)
         slon = r.lon0.to_numpy()
         slat = r.lat0.to_numpy()
-        sid = r.rect_id.to_numpy(np.int64)
         cx = np.floor((slon - _GRID_LON0) / CELL).astype(np.int64)
         cy = np.floor((slat - _GRID_LAT0) / CELL).astype(np.int64)
-        frames = []
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                gx, gy = cx + dx, cy + dy
-                ok = (gx >= 0) & (gy >= 0) & (gy < NXY)
-                frames.append(pd.DataFrame({
-                    "cell": (gx * NXY + gy)[ok],
-                    "id": (-1 - sid)[ok],  # sites carry negative ids
-                    "lon": slon[ok], "lat": slat[ok]}))
-        out = pd.concat(frames, ignore_index=True)
-        out["bk"] = out.cell.to_numpy() % nbk
-        return out
+        # sites carry negative ids
+        return _grid_copies(cx, cy, {"id": -1 - r.rect_id.to_numpy(np.int64),
+                                     "lon": slon, "lat": slat}, nbk)
 
     def knn_bucket(g: pd.DataFrame) -> pd.DataFrame:
         pts = g[g.id >= 0]
@@ -7073,65 +7096,57 @@ def geo_block_split(sf_dir: str, block: int = 64):
 # adjacent cells.
 _ESDA_EPS = 0.01
 _ESDA_CELL = 0.012
-_ESDA_NXY = 4096
 
 
-def _esda_neighbor_stats(sf_dir: str):
+def _esda_var(df: pd.DataFrame, name: str) -> np.ndarray:
+    """events batch → the named ESDA variable: ``value`` (events.value) or
+    ``y``, the derived co-variable ((event_id·13) % 1000)/1000."""
+    if name == "value":
+        return df.value.to_numpy(np.float64)
+    return ((df.event_id.to_numpy(np.int64) * 13) % 1000) / 1000.0
+
+
+def _esda_neighbor_stats(sf_dir: str, nbr: str = "value"):
     """Per-point neighborhood aggregates over the events-derived layer:
     (event_id, x, k, sx) with x = the event's value, k = neighbor count
-    within the distance band, sx = sum of neighbor values.
+    within the distance band, sx = sum of the neighbors' ``nbr`` variable
+    (_esda_var: ``value``, or ``y`` for the bivariate statistics).
 
     Scale shape: the geo_near_pairs grid scheme turned into a per-point
     AGGREGATION — each point is emitted HOME to its own cell plus GHOST
-    copies to all 8 adjacent cells, so a home point's full neighborhood
-    is present in its home-cell group and the per-point (k, sx) is
-    COMPLETE after ONE groupby(cell-bucket) exchange of ~9 slim copies
-    per point; no pair set is ever materialized. Zero-neighbor points
-    are preserved by a left re-attach against the home rows inside the
-    same group."""
+    copies to all 8 adjacent cells (_grid_copies), so a home point's full
+    neighborhood is present in its home-cell group and the per-point
+    (k, sx) is COMPLETE after ONE groupby(cell-bucket) exchange of ~9 slim
+    copies per point. Candidate pairs exist only inside one bucket task
+    (_band_pairs); none crosses an exchange. Zero-neighbor points are
+    preserved by a left re-attach against the home rows inside the same
+    group."""
     ev, ne = _spread_read(sf_dir, "events", ["event_id", "value"])
     nbk = _nbuckets(9 * ne, rows_per_bucket=8192, lo=32)
     e2 = np.float64(_ESDA_EPS) * np.float64(_ESDA_EPS)
+    names = ["value"] if nbr == "value" else ["value", nbr]
+    cols = ["id", "lon", "lat", *names]
 
     def copies(df: pd.DataFrame) -> pd.DataFrame:
         p = _event_points(df)
         lon = p.lon.to_numpy()
         lat = p.lat.to_numpy()
-        ids = p.event_id.to_numpy(np.int64)
-        x = df.value.to_numpy(np.float64)
         cx = np.floor((lon - _GRID_LON0) / _ESDA_CELL).astype(np.int64)
         cy = np.floor((lat - _GRID_LAT0) / _ESDA_CELL).astype(np.int64)
-        frames = [pd.DataFrame({"cell": cx * _ESDA_NXY + cy, "home": True,
-                                "id": ids, "lon": lon, "lat": lat, "x": x})]
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                if dx == 0 and dy == 0:
-                    continue
-                gx, gy = cx + dx, cy + dy
-                ok = (gx >= 0) & (gy >= 0) & (gy < _ESDA_NXY)
-                frames.append(pd.DataFrame({
-                    "cell": (gx * _ESDA_NXY + gy)[ok], "home": False,
-                    "id": ids[ok], "lon": lon[ok], "lat": lat[ok],
-                    "x": x[ok]}))
-        out = pd.concat(frames, ignore_index=True)
-        out["bk"] = out.cell.to_numpy() % nbk
-        return out
+        pay = {"id": p.event_id.to_numpy(np.int64), "lon": lon, "lat": lat}
+        pay.update({c: _esda_var(df, c) for c in names})
+        return _grid_copies(cx, cy, pay, nbk)
 
     def nbr_stats(g: pd.DataFrame) -> pd.DataFrame:
-        home = g[g.home]
-        cols = ["cell", "id", "lon", "lat", "x"]
-        m = home[cols].merge(g[cols], on="cell", suffixes=("_a", "_b"))
-        m = m[m.id_a.to_numpy() != m.id_b.to_numpy()]
-        dlat = m.lat_a.to_numpy() - m.lat_b.to_numpy()
-        dlon = m.lon_a.to_numpy() - m.lon_b.to_numpy()
-        m = m[1.8 * dlat * dlat + dlon * dlon <= e2]
+        m = _band_pairs(g, cols, e2)
         agg = (m.groupby("id_a", sort=False)
-               .agg(k=("id_b", "size"), sx=("x_b", "sum")).reset_index())
-        out = home[["id", "x"]].merge(agg, left_on="id", right_on="id_a",
-                                      how="left")
+               .agg(k=("id_b", "size"), sx=(f"{nbr}_b", "sum"))
+               .reset_index())
+        out = g[g.home][["id", "value"]].merge(
+            agg, left_on="id", right_on="id_a", how="left")
         return pd.DataFrame({
             "event_id": out.id.to_numpy(np.int64),
-            "x": out.x.to_numpy(np.float64),
+            "x": out.value.to_numpy(np.float64),
             "k": out.k.fillna(0).to_numpy(np.int64),
             "sx": out.sx.fillna(0.0).to_numpy(np.float64)})
 
@@ -7139,39 +7154,68 @@ def _esda_neighbor_stats(sf_dir: str):
             .groupby("bk").map_groups(nbr_stats, batch_format="pandas"))
 
 
-def _esda_value_scalars(sf_dir: str):
-    """Global (n, mean, population variance) of events.value — the O(1)
-    broadcast side of every ESDA statistic. One pre-aggregated pass:
-    per-block (n, sum, M2) partials with M2 = Σ(x − block_mean)², merged
-    on the driver with Chan's parallel-variance update — numerically
-    stable (no E[x²]−E[x]² cancellation), matching DuckDB var_pop's
-    deviation-based accumulation, so the Gi*/Moran denominators stay
-    within the sweep tolerance at any value magnitude. Partials are one
-    row per block (bounded), never the data."""
-    ev = read_testdata(sf_dir, "events", columns=["value"])
+def _esda_scalars(sf_dir: str, names=("value",)):
+    """(n, [(mean, population variance) per named _esda_var variable]) —
+    the O(1) broadcast side of every ESDA statistic. One pre-aggregated
+    pass: per-block (n, sum, M2) partials with M2 = Σ(v − block_mean)²,
+    merged on the driver with Chan's parallel-variance update —
+    numerically stable (no E[v²]−E[v]² cancellation), matching DuckDB
+    var_pop's deviation-based accumulation, so the Gi*/Moran denominators
+    stay within the sweep tolerance at any value magnitude. Partials are
+    one row per block (bounded), never the data."""
+    ev = read_testdata(sf_dir, "events", columns=(
+        ["event_id", "value"] if "y" in names else ["value"]))
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
-        x = df.value.to_numpy(np.float64)
-        m = x.mean() if len(x) else 0.0
-        d = x - m
-        return pd.DataFrame({"n": [len(x)], "s": [x.sum()],
-                             "m2": [(d * d).sum()]})
+        out = {"n": [len(df)]}
+        for nm in names:
+            v = _esda_var(df, nm)
+            m = v.mean() if len(v) else 0.0
+            d = v - m
+            out[f"s_{nm}"] = [v.sum()]
+            out[f"m2_{nm}"] = [(d * d).sum()]
+        return pd.DataFrame(out)
 
     t = ev.map_batches(partial, batch_format="pandas").to_pandas()
-    n_a = 0.0
-    mean_a = 0.0
-    m2_a = 0.0
-    for n_b, s_b, m2_b in t[["n", "s", "m2"]].itertuples(index=False):
-        if n_b == 0:
-            continue
-        n_b = float(n_b)
-        mean_b = float(s_b) / n_b
-        delta = mean_b - mean_a
-        tot = n_a + n_b
-        m2_a += float(m2_b) + delta * delta * n_a * n_b / tot
-        mean_a += delta * n_b / tot
-        n_a = tot
-    return n_a, mean_a, m2_a / n_a
+    stats = []
+    for nm in names:
+        n_a = mean_a = m2_a = 0.0
+        for n_b, s_b, m2_b in t[["n", f"s_{nm}", f"m2_{nm}"]].itertuples(
+                index=False):
+            if n_b == 0:
+                continue
+            n_b = float(n_b)
+            mean_b = float(s_b) / n_b
+            delta = mean_b - mean_a
+            tot = n_a + n_b
+            m2_a += float(m2_b) + delta * delta * n_a * n_b / tot
+            mean_a += delta * n_b / tot
+            n_a = tot
+        stats.append((mean_a, m2_a / n_a))
+    return n_a, stats
+
+
+def _esda_cross_sum(sf_dir: str, nbr: str, xbar: float, nbar: float):
+    """(Σᵢ (xᵢ − x̄)·(sxᵢ − kᵢ·n̄), W = Σᵢ kᵢ) over
+    _esda_neighbor_stats(sf_dir, nbr) — the numerator and weight sum of
+    the global Moran statistics. Per-block partials, then one coalesced
+    sum: three numbers per block reach the driver."""
+
+    def partial(df: pd.DataFrame) -> pd.DataFrame:
+        k = df.k.to_numpy(np.float64)
+        z = df.x.to_numpy(np.float64) - xbar
+        num = (z * (df.sx.to_numpy(np.float64) - k * nbar)).sum()
+        return pd.DataFrame({"num": [num],
+                             "w": [df.k.to_numpy(np.int64).sum()]})
+
+    t = (_esda_neighbor_stats(sf_dir, nbr)
+         .map_batches(partial, batch_format="pandas")
+         .repartition(1)
+         .map_batches(lambda d: pd.DataFrame({
+             "num": [d.num.sum()], "w": [d.w.sum()]}),
+             batch_format="pandas", batch_size=None)
+         .to_pandas())
+    return float(t.num.iloc[0]), float(t.w.iloc[0])
 
 
 def geo_getis_hotspots(sf_dir: str):
@@ -7188,11 +7232,12 @@ def geo_getis_hotspots(sf_dir: str):
     clustering of high (hot) or low (cold) values.
 
     Scale shape: ONE bucketed-grid exchange for the per-point (k, sx)
-    (_esda_neighbor_stats — no pair materialization) + an O(1) scalar
-    broadcast; the statistic itself is a stateless vectorized map. The
-    expression is term-identical to the SQL oracle; float reassociation
-    is covered by the sweep's one-quantum tolerance."""
-    n, xbar, var = _esda_value_scalars(sf_dir)
+    (_esda_neighbor_stats — candidate pairs stay inside one bucket task,
+    none crosses an exchange) + an O(1) scalar broadcast; the statistic
+    itself is a stateless vectorized map. The expression is
+    term-identical to the SQL oracle; float reassociation is covered by
+    the sweep's one-quantum tolerance."""
+    n, ((xbar, var),) = _esda_scalars(sf_dir)
     s = float(np.sqrt(var))
 
     def gi(df: pd.DataFrame) -> pd.DataFrame:
@@ -7218,7 +7263,7 @@ def geo_local_moran(sf_dir: str):
     n_neighbors, local_i round-6). Same single-exchange scale shape as
     geo_getis_hotspots (sum_j z_j = sx_i - k_i*xbar needs only the
     per-point neighbor aggregates)."""
-    _n, xbar, var = _esda_value_scalars(sf_dir)
+    _n, ((xbar, var),) = _esda_scalars(sf_dir)
 
     def li(df: pd.DataFrame) -> pd.DataFrame:
         k = df.k.to_numpy(np.float64)
@@ -7246,24 +7291,10 @@ def geo_moran_i(sf_dir: str):
     drill-down.
 
     Scale shape: the neighbor-stats exchange + a per-block partial
-    reduction to (num, W) — THREE floats per block reach the driver."""
-    n, xbar, var = _esda_value_scalars(sf_dir)
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        k = df.k.to_numpy(np.float64)
-        z = df.x.to_numpy(np.float64) - xbar
-        num = (z * (df.sx.to_numpy(np.float64) - k * xbar)).sum()
-        return pd.DataFrame({"num": [num], "w": [df.k.to_numpy(np.int64).sum()]})
-
-    t = (_esda_neighbor_stats(sf_dir)
-         .map_batches(partial, batch_format="pandas")
-         .repartition(1)
-         .map_batches(lambda d: pd.DataFrame({
-             "num": [d.num.sum()], "w": [d.w.sum()]}),
-             batch_format="pandas", batch_size=None)
-         .to_pandas())
-    w = float(t.w.iloc[0])
-    moran = float(t.num.iloc[0]) / (w * var)
+    reduction to (num, W) (_esda_cross_sum)."""
+    n, ((xbar, var),) = _esda_scalars(sf_dir)
+    num, w = _esda_cross_sum(sf_dir, "value", xbar, xbar)
+    moran = num / (w * var)
     return pd.DataFrame({"n_points": np.array([int(n)], dtype=np.int64),
                          "w_pairs": np.array([int(w)], dtype=np.int64),
                          "moran_i": np.array([round(moran, 6)])})
@@ -7534,20 +7565,7 @@ def geo_dbscan_clusters(sf_dir: str, eps: float = _DBS_EPS,
         lat, lon = _dbscan_points(ids)
         cx = np.floor((lon - _GRID_LON0) / _DBS_CELL).astype(np.int64)
         cy = np.floor((lat - _GRID_LAT0) / _DBS_CELL).astype(np.int64)
-        frames = [pd.DataFrame({"cell": cx * _ESDA_NXY + cy, "home": True,
-                                "id": ids, "lon": lon, "lat": lat})]
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                if dx == 0 and dy == 0:
-                    continue
-                gx, gy = cx + dx, cy + dy
-                ok = (gx >= 0) & (gy >= 0) & (gy < _ESDA_NXY)
-                frames.append(pd.DataFrame({
-                    "cell": (gx * _ESDA_NXY + gy)[ok], "home": False,
-                    "id": ids[ok], "lon": lon[ok], "lat": lat[ok]}))
-        out = pd.concat(frames, ignore_index=True)
-        out["bk"] = out.cell.to_numpy() % nbk
-        return out
+        return _grid_copies(cx, cy, {"id": ids, "lon": lon, "lat": lat}, nbk)
 
     # kinds emitted by the home-bucket pass:
     #   0: per-point core flag            (a=id,   b=-1,    flag=core)
@@ -7556,12 +7574,8 @@ def geo_dbscan_clusters(sf_dir: str, eps: float = _DBS_EPS,
     #   3: border candidate               (a=non-core id, b=rep_q)
     def flags_and_edges(g: pd.DataFrame) -> pd.DataFrame:
         home = g[g.home]
-        # position contraction (exact-float groupby: duplicate coords are
-        # bit-identical integer-derived doubles)
-        pall = (g.groupby(["cell", "lat", "lon"], sort=False)
-                .agg(m=("id", "size"), rep=("id", "min")).reset_index())
-        ph = (home.groupby(["cell", "lat", "lon"], sort=False)
-              .agg(m=("id", "size"), rep=("id", "min")).reset_index())
+        pall = _positions(g)
+        ph = pall[pall.home]
         cols = ["cell", "lat", "lon", "m", "rep"]
         mm = ph[cols].merge(pall[cols], on="cell", suffixes=("_a", "_b"))
         dlat = mm.lat_a.to_numpy() - mm.lat_b.to_numpy()
@@ -8787,10 +8801,14 @@ def geo_ripley_k(sf_dir: str):
     identical pair sets both engines; the only float divide is the final
     bounded expression, term-identical to the SQL).
 
-    Scale shape: the ESDA home+ghost grid scheme with 0.031° cells —
-    per-bucket (home × 9-cell neighborhood) distance matrices reduce to
-    THREE int64 partial counts per bucket; one coalesced sum finishes.
-    No pair set is materialized anywhere."""
+    Scale shape: the ESDA home+ghost grid scheme with 0.031° cells
+    (_grid_copies). Each bucket contracts its rows to unique positions
+    (_positions, the DBSCAN contraction) and counts ordered pairs as
+    Σ m_a·m_b over qualifying (home position, position) pairs minus
+    Σ m_home for the self pairs, so its candidate frame is bounded by
+    positions, not points, in a dense cell; it reduces to THREE int64
+    partial counts, and one coalesced sum finishes. Candidate pairs exist
+    only inside one bucket task; none crosses an exchange."""
     ev, ne = _spread_read(sf_dir, "events", ["event_id"])
     nbk = _nbuckets(9 * ne, rows_per_bucket=8192, lo=32)
     r2s = [np.float64(r) * np.float64(r) for r in _RIPLEY_RADII]
@@ -8799,33 +8817,22 @@ def geo_ripley_k(sf_dir: str):
         p = _event_points(df)
         lon = p.lon.to_numpy()
         lat = p.lat.to_numpy()
-        ids = p.event_id.to_numpy(np.int64)
         cx = np.floor((lon - _GRID_LON0) / _RIPLEY_CELL).astype(np.int64)
         cy = np.floor((lat - _GRID_LAT0) / _RIPLEY_CELL).astype(np.int64)
-        frames = [pd.DataFrame({"cell": cx * 4096 + cy, "home": True,
-                                "id": ids, "lon": lon, "lat": lat})]
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                if dx == 0 and dy == 0:
-                    continue
-                gx, gy = cx + dx, cy + dy
-                ok = (gx >= 0) & (gy >= 0) & (gy < 4096)
-                frames.append(pd.DataFrame({
-                    "cell": (gx * 4096 + gy)[ok], "home": False,
-                    "id": ids[ok], "lon": lon[ok], "lat": lat[ok]}))
-        out = pd.concat(frames, ignore_index=True)
-        out["bk"] = out.cell.to_numpy() % nbk
-        return out
+        return _grid_copies(cx, cy, {"id": p.event_id.to_numpy(np.int64),
+                                     "lon": lon, "lat": lat}, nbk)
 
     def pair_counts(g: pd.DataFrame) -> pd.DataFrame:
-        home = g[g.home]
-        cols = ["cell", "id", "lon", "lat"]
-        m = home[cols].merge(g[cols], on="cell", suffixes=("_a", "_b"))
-        m = m[m.id_a.to_numpy() != m.id_b.to_numpy()]
-        dlat = m.lat_a.to_numpy() - m.lat_b.to_numpy()
-        dlon = m.lon_a.to_numpy() - m.lon_b.to_numpy()
+        pall = _positions(g)
+        ph = pall[pall.home]
+        cols = ["cell", "lat", "lon", "m"]
+        mm = ph[cols].merge(pall[cols], on="cell", suffixes=("_a", "_b"))
+        dlat = mm.lat_a.to_numpy() - mm.lat_b.to_numpy()
+        dlon = mm.lon_a.to_numpy() - mm.lon_b.to_numpy()
         d2 = 1.8 * dlat * dlat + dlon * dlon
-        return pd.DataFrame({f"p{i}": [np.int64((d2 <= r2).sum())]
+        w = mm.m_a.to_numpy(np.int64) * mm.m_b.to_numpy(np.int64)
+        n_self = ph.m.to_numpy(np.int64).sum()  # d2 = 0 pairs i == i
+        return pd.DataFrame({f"p{i}": [np.int64(w[d2 <= r2].sum() - n_self)]
                              for i, r2 in enumerate(r2s)})
 
     part = (ev.map_batches(copies, batch_format="pandas")
@@ -8866,37 +8873,17 @@ def geo_nearest_neighbor_stats(sf_dir: str):
         p = _event_points(df)
         lon = p.lon.to_numpy()
         lat = p.lat.to_numpy()
-        ids = p.event_id.to_numpy(np.int64)
         cx = np.floor((lon - _GRID_LON0) / _NN_CENSOR).astype(np.int64)
         cy = np.floor((lat - _GRID_LAT0) / _NN_CENSOR).astype(np.int64)
-        frames = [pd.DataFrame({"cell": cx * 4096 + cy, "home": True,
-                                "id": ids, "lon": lon, "lat": lat})]
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                if dx == 0 and dy == 0:
-                    continue
-                gx, gy = cx + dx, cy + dy
-                ok = (gx >= 0) & (gy >= 0) & (gy < 4096)
-                frames.append(pd.DataFrame({
-                    "cell": (gx * 4096 + gy)[ok], "home": False,
-                    "id": ids[ok], "lon": lon[ok], "lat": lat[ok]}))
-        out = pd.concat(frames, ignore_index=True)
-        out["bk"] = out.cell.to_numpy() % nbk
-        return out
+        return _grid_copies(cx, cy, {"id": p.event_id.to_numpy(np.int64),
+                                     "lon": lon, "lat": lat}, nbk)
 
     def nn_min(g: pd.DataFrame) -> pd.DataFrame:
-        home = g[g.home]
-        cols = ["cell", "id", "lon", "lat"]
-        m = home[cols].merge(g[cols], on="cell", suffixes=("_a", "_b"))
-        m = m[m.id_a.to_numpy() != m.id_b.to_numpy()]
-        dlat = m.lat_a.to_numpy() - m.lat_b.to_numpy()
-        dlon = m.lon_a.to_numpy() - m.lon_b.to_numpy()
-        d2 = 1.8 * dlat * dlat + dlon * dlon
-        m = m.assign(d2=d2)[d2 <= c2]
+        m = _band_pairs(g, ["id", "lon", "lat"], c2)
         agg = (m.groupby("id_a", sort=False)
                .agg(d2min=("d2", "min")).reset_index())
-        out = home[["id"]].merge(agg, left_on="id", right_on="id_a",
-                                 how="left")
+        out = g[g.home][["id"]].merge(agg, left_on="id", right_on="id_a",
+                                      how="left")
         eid = out.id.to_numpy(np.int64)
         d = np.sqrt(out.d2min.to_numpy(np.float64))  # NaN where censored
         cens = np.isnan(d)
@@ -9524,43 +9511,6 @@ def image_mosaic_groups(sf_dir: str):
     return out.map_batches(fin, batch_format="pandas")
 
 
-def _esda_xy_scalars(sf_dir: str):
-    """(n, x̄, σ²x, ȳ, σ²y) for events.value and the derived co-variable
-    y = ((event_id·13) % 1000)/1000 — the bivariate-ESDA broadcast
-    scalars, same stable per-block (n, Σ, M2) + Chan combine as
-    _esda_value_scalars, both variables in ONE pass."""
-    ev = read_testdata(sf_dir, "events", columns=["event_id", "value"])
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        x = df.value.to_numpy(np.float64)
-        y = ((df.event_id.to_numpy(np.int64) * 13) % 1000) / 1000.0
-        out = {"n": [len(x)]}
-        for nm, v in (("x", x), ("y", y)):
-            m = v.mean() if len(v) else 0.0
-            d = v - m
-            out[f"s{nm}"] = [v.sum()]
-            out[f"m2{nm}"] = [(d * d).sum()]
-        return pd.DataFrame(out)
-
-    t = ev.map_batches(partial, batch_format="pandas").to_pandas()
-    stats = {}
-    for nm in ("x", "y"):
-        n_a = mean_a = m2_a = 0.0
-        for n_b, s_b, m2_b in t[["n", f"s{nm}", f"m2{nm}"]].itertuples(
-                index=False):
-            if n_b == 0:
-                continue
-            n_b = float(n_b)
-            mean_b = float(s_b) / n_b
-            delta = mean_b - mean_a
-            tot = n_a + n_b
-            m2_a += float(m2_b) + delta * delta * n_a * n_b / tot
-            mean_a += delta * n_b / tot
-            n_a = tot
-        stats[nm] = (mean_a, m2_a / n_a)
-    return n_a, stats["x"][0], stats["x"][1], stats["y"][0], stats["y"][1]
-
-
 def geo_bivariate_moran(sf_dir: str):
     """BIVARIATE global Moran's I (Anselin et al. 2002; GeoDa's
     "Bivariate Moran") between events.value and the derived co-variable
@@ -9571,75 +9521,13 @@ def geo_bivariate_moran(sf_dir: str):
     over the same distance-band weights as the univariate ESDA family.
     Output ONE row (n_points, w_pairs, moran_ixy round-6).
 
-    Scale shape: the _esda_neighbor_stats grid exchange carrying y
-    instead of x (one exchange, no pair set), per-block partial
-    reduction to (num, W) — two floats per block — plus the O(1)
-    two-variable scalar broadcast."""
-    n, xbar, vx, ybar, vy = _esda_xy_scalars(sf_dir)
-    ev, ne = _spread_read(sf_dir, "events", ["event_id", "value"])
-    nbk = _nbuckets(9 * ne, rows_per_bucket=8192, lo=32)
-    e2 = np.float64(_ESDA_EPS) * np.float64(_ESDA_EPS)
-
-    def copies(df: pd.DataFrame) -> pd.DataFrame:
-        p = _event_points(df)
-        lon = p.lon.to_numpy()
-        lat = p.lat.to_numpy()
-        ids = p.event_id.to_numpy(np.int64)
-        x = df.value.to_numpy(np.float64)
-        y = ((ids * 13) % 1000) / 1000.0
-        cx = np.floor((lon - _GRID_LON0) / _ESDA_CELL).astype(np.int64)
-        cy = np.floor((lat - _GRID_LAT0) / _ESDA_CELL).astype(np.int64)
-        frames = [pd.DataFrame({"cell": cx * _ESDA_NXY + cy, "home": True,
-                                "id": ids, "lon": lon, "lat": lat,
-                                "x": x, "y": y})]
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                if dx == 0 and dy == 0:
-                    continue
-                gx, gy = cx + dx, cy + dy
-                ok = (gx >= 0) & (gy >= 0) & (gy < _ESDA_NXY)
-                frames.append(pd.DataFrame({
-                    "cell": (gx * _ESDA_NXY + gy)[ok], "home": False,
-                    "id": ids[ok], "lon": lon[ok], "lat": lat[ok],
-                    "x": x[ok], "y": y[ok]}))
-        out = pd.concat(frames, ignore_index=True)
-        out["bk"] = out.cell.to_numpy() % nbk
-        return out
-
-    def nbr_y(g: pd.DataFrame) -> pd.DataFrame:
-        home = g[g.home]
-        cols = ["cell", "id", "lon", "lat", "y"]
-        m = home[cols].merge(g[cols], on="cell", suffixes=("_a", "_b"))
-        m = m[m.id_a.to_numpy() != m.id_b.to_numpy()]
-        dlat = m.lat_a.to_numpy() - m.lat_b.to_numpy()
-        dlon = m.lon_a.to_numpy() - m.lon_b.to_numpy()
-        m = m[1.8 * dlat * dlat + dlon * dlon <= e2]
-        agg = (m.groupby("id_a", sort=False)
-               .agg(k=("id_b", "size"), sy=("y_b", "sum")).reset_index())
-        out = home[["id", "x"]].merge(agg, left_on="id", right_on="id_a",
-                                      how="left")
-        return pd.DataFrame({
-            "x": out.x.to_numpy(np.float64),
-            "k": out.k.fillna(0).to_numpy(np.int64),
-            "sy": out.sy.fillna(0.0).to_numpy(np.float64)})
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        k = df.k.to_numpy(np.float64)
-        zx = df.x.to_numpy(np.float64) - xbar
-        num = (zx * (df.sy.to_numpy(np.float64) - k * ybar)).sum()
-        return pd.DataFrame({"num": [num],
-                             "w": [df.k.to_numpy(np.int64).sum()]})
-
-    t = (ev.map_batches(copies, batch_format="pandas")
-         .groupby("bk").map_groups(nbr_y, batch_format="pandas")
-         .map_batches(partial, batch_format="pandas")
-         .repartition(1)
-         .map_batches(lambda d: pd.DataFrame({
-             "num": [d.num.sum()], "w": [d.w.sum()]}),
-             batch_format="pandas", batch_size=None)
-         .to_pandas())
-    w = float(t.w.iloc[0])
-    ixy = float(t.num.iloc[0]) / (w * np.sqrt(vx) * np.sqrt(vy))
+    Scale shape: the _esda_neighbor_stats grid exchange with y as the
+    summed neighbor variable (one exchange; candidate pairs stay inside
+    one bucket task), per-block partial reduction to (num, W)
+    (_esda_cross_sum), plus the O(1) two-variable scalar broadcast."""
+    n, ((xbar, vx), (ybar, vy)) = _esda_scalars(sf_dir, ("value", "y"))
+    num, w = _esda_cross_sum(sf_dir, "y", xbar, ybar)
+    ixy = num / (w * np.sqrt(vx) * np.sqrt(vy))
     return pd.DataFrame({"n_points": np.array([int(n)], dtype=np.int64),
                          "w_pairs": np.array([int(w)], dtype=np.int64),
                          "moran_ixy": np.array([round(ixy, 6)])})
@@ -9674,26 +9562,12 @@ def geo_colocation_quotient(sf_dir: str):
         p = _event_points(df)
         lon = p.lon.to_numpy()
         lat = p.lat.to_numpy()
-        ids = p.event_id.to_numpy(np.int64)
-        t = df.event_type.to_numpy(object)
         cx = np.floor((lon - _GRID_LON0) / _ESDA_CELL).astype(np.int64)
         cy = np.floor((lat - _GRID_LAT0) / _ESDA_CELL).astype(np.int64)
-        frames = [pd.DataFrame({"cell": cx * _ESDA_NXY + cy, "home": True,
-                                "id": ids, "lon": lon, "lat": lat,
-                                "t": t})]
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                if dx == 0 and dy == 0:
-                    continue
-                gx, gy = cx + dx, cy + dy
-                ok = (gx >= 0) & (gy >= 0) & (gy < _ESDA_NXY)
-                frames.append(pd.DataFrame({
-                    "cell": (gx * _ESDA_NXY + gy)[ok], "home": False,
-                    "id": ids[ok], "lon": lon[ok], "lat": lat[ok],
-                    "t": t[ok]}))
-        out = pd.concat(frames, ignore_index=True)
-        out["bk"] = out.cell.to_numpy() % nbk
-        return out
+        return _grid_copies(cx, cy, {"id": p.event_id.to_numpy(np.int64),
+                                     "lon": lon, "lat": lat,
+                                     "t": df.event_type.to_numpy(object)},
+                            nbk)
 
     _EMPTY = {"type_a": pd.Series([], dtype=object),
               "type_b": pd.Series([], dtype=object),
@@ -9701,13 +9575,7 @@ def geo_colocation_quotient(sf_dir: str):
               "na": pd.Series([], dtype=np.int64)}
 
     def partial(g: pd.DataFrame) -> pd.DataFrame:
-        home = g[g.home]
-        full = ["cell", "id", "lon", "lat", "t"]
-        m = home[full].merge(g[full], on="cell", suffixes=("_a", "_b"))
-        m = m[m.id_a.to_numpy() != m.id_b.to_numpy()]
-        dlat = m.lat_a.to_numpy() - m.lat_b.to_numpy()
-        dlon = m.lon_a.to_numpy() - m.lon_b.to_numpy()
-        m = m[1.8 * dlat * dlat + dlon * dlon <= e2]
+        m = _band_pairs(g, ["id", "lon", "lat", "t"], e2)
         if len(m) == 0:
             return pd.DataFrame(_EMPTY)
         k = m.groupby("id_a", sort=False).id_b.transform("size") \

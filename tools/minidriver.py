@@ -123,7 +123,7 @@ def run(sf_dir, only=None, exact=False):
 
     logging.getLogger("ray.data").setLevel(logging.ERROR)
 
-    sys.path.insert(0, "/root/repo")
+    sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
     import __ray_entry__ as entrymod
 
     qs = entrymod.queries()
