@@ -334,26 +334,34 @@ class TestPinnedSchemas:
 
 class TestPixelPercentiles:
     """A4 percentile semantics (rasterio_utils.py:282-292):
-    np.percentile(pixels, [25, 50, 75]) per image, linear interpolation."""
+    np.percentile(pixels, [25, 50, 75]) per image, linear interpolation.
+    Run through the live chain: the header pass, then the flagship's one
+    pixel-decode stage (capture branch off)."""
+
+    @staticmethod
+    def _meta(image_id, blob):
+        from tiff_enrichment_pipeline_ray.pipelines.flagship import (
+            _make_decode_stats_capture_stage)
+        from tiff_enrichment_pipeline_ray.stages.extract import (
+            extract_meta_light)
+
+        t = pa.table({"image_id": [image_id], "bytes": [blob],
+                      "fmt": ["raw"], "phash": pa.array([0], pa.int64())})
+        stage = _make_decode_stats_capture_stage(None)
+        return stage(extract_meta_light(t)).to_pandas().iloc[0]
 
     def test_extract_meta_golden(self):
         rng = np.random.default_rng(11)
         px = (rng.random((30, 40)) * 65535).astype(np.uint16)
         blob = codec.encode_image(px, "raw", {})
-        t = pa.table({"image_id": ["IMG_0001_1"], "bytes": [blob]})
-        from tiff_enrichment_pipeline_ray.stages.extract import extract_meta
-
-        out = extract_meta(t).to_pandas().iloc[0]
+        out = self._meta("IMG_0001_1", blob)
         want = np.percentile(px.astype(np.float64), (25, 50, 75))
         assert out.px_p25 == pytest.approx(want[0], rel=1e-12)
         assert out.px_p50 == pytest.approx(want[1], rel=1e-12)
         assert out.px_p75 == pytest.approx(want[2], rel=1e-12)
 
     def test_corrupt_row_is_nan(self):
-        t = pa.table({"image_id": ["X"], "bytes": [b"corrupt"]})
-        from tiff_enrichment_pipeline_ray.stages.extract import extract_meta
-
-        out = extract_meta(t).to_pandas().iloc[0]
+        out = self._meta("X", b"corrupt")
         assert np.isnan(out.px_p25) and np.isnan(out.px_p50)
 
 

@@ -196,7 +196,10 @@ ORACLED = ["q1_pricing_summary", "q3_shipping_priority", "q5_regional_revenue",
            "events_mann_whitney", "events_runs_test",
            "image_mosaic_groups", "geo_bivariate_moran",
            "geo_colocation_quotient", "events_lorenz_deciles",
-           "geo_station_coverage"]
+           "geo_station_coverage",
+           # two-phase ordered scans: seeded shuffle rank and the weighted
+           # mixture interleave (two chained scans)
+           "doc_shuffle_positions", "doc_mixture_order"]
 
 ROWS_ONLY = ["image_chip_stats",
              "ann_pq_topk",
@@ -1967,6 +1970,119 @@ def test_mann_whitney_ks_heavy_ties(ray_session, tmp_path):
     assert float(got_ks.at_value.iloc[0]) == 1.0
 
 
+def test_ks_mann_whitney_empty_sample(ray_session, tmp_path):
+    """No `purchase` rows: one sample is empty, so neither test statistic
+    exists. Engine and DuckDB oracle both return no row."""
+    import pandas as pd
+
+    from tiff_enrichment_pipeline_ray.pipelines import queries as Q
+    from tools.minidriver import to_pandas
+
+    df = pd.DataFrame({
+        "event_id": range(8),
+        "ts": pd.Timestamp("2024-01-01"),
+        "user_id": 1,
+        "event_type": ["view"] * 5 + ["click"] * 3,
+        "value": [1.0, 2.0, 2.0, 3.5, 4.0, 1.0, 9.0, 2.0],
+    })
+    sf = _write_events(tmp_path, df)
+    for name in ("events_ks_drift", "events_mann_whitney"):
+        assert len(to_pandas(getattr(Q, name)(sf))) == 0, name
+        assert len(_events_oracle(sf, name)) == 0, name
+
+
+class TestOrderedScanEdges:
+    """Crafted edges of the two-phase ordered scan (`_bucket_offsets`):
+    every case matches the DuckDB oracle exactly, and a spy on the helper
+    shows which buckets phase 1 saw."""
+
+    @staticmethod
+    def _spy(monkeypatch):
+        from tiff_enrichment_pipeline_ray.pipelines import queries as Q
+
+        seen = []
+        real = Q._bucket_offsets
+
+        def spy(*a, **kw):
+            parts, offsets = real(*a, **kw)
+            seen.append(parts)
+            return parts, offsets
+        monkeypatch.setattr(Q, "_bucket_offsets", spy)
+        return seen
+
+    @staticmethod
+    def _rank(monkeypatch, tmp_path, values):
+        import pandas as pd
+
+        from tiff_enrichment_pipeline_ray.pipelines import queries as Q
+        from tools.minidriver import compare, to_pandas
+
+        seen = TestOrderedScanEdges._spy(monkeypatch)
+        n = len(values)
+        df = pd.DataFrame({
+            "event_id": np.arange(n, dtype=np.int64)[::-1],
+            "ts": pd.Timestamp("2024-01-01"),
+            "user_id": 1, "event_type": "view",
+            "value": np.asarray(values, np.float64)})
+        sf = _write_events(tmp_path, df)
+        got = to_pandas(Q.events_global_rank(sf))
+        want = _events_oracle(sf, "events_global_rank")
+        assert compare("events_global_rank", got, want, exact=True) is None
+        assert len(seen) == 1
+        return got.sort_values("rnk").reset_index(drop=True), seen[0]
+
+    def test_rank_all_values_equal(self, ray_session, monkeypatch,
+                                   tmp_path):
+        got, parts = self._rank(monkeypatch, tmp_path, [2.5] * 300)
+        assert parts.n.tolist() == [300]          # one bucket holds all
+        assert got.event_id.tolist() == list(range(300))
+        assert got.rnk.tolist() == list(range(1, 301))
+
+    def test_rank_one_far_outlier(self, ray_session, monkeypatch,
+                                  tmp_path):
+        vals = np.linspace(0.0, 1.0, 500).tolist() + [1e9]
+        got, parts = self._rank(monkeypatch, tmp_path, vals)
+        # 32 equal-width buckets: all but the first and the last are empty
+        assert parts.bk.tolist() == [0, 31]
+        assert parts.n.tolist() == [500, 1]
+        assert got.value.iloc[-1] == 1e9 and got.rnk.iloc[-1] == 501
+
+    def test_rank_single_row(self, ray_session, monkeypatch, tmp_path):
+        got, parts = self._rank(monkeypatch, tmp_path, [7.25])
+        assert parts.n.tolist() == [1]
+        assert got.rnk.tolist() == [1] and got.pct.tolist() == [1.0]
+
+    def test_pack_chunks_wide_id_gap(self, ray_session, monkeypatch,
+                                     tmp_path):
+        import duckdb
+        import pandas as pd
+        import pyarrow as pa
+        import pyarrow.parquet as pq
+
+        from tiff_enrichment_pipeline_ray.pipelines import queries as Q
+        from tiff_enrichment_pipeline_ray.pipelines.oracles import ORACLES
+        from tools.minidriver import compare, to_pandas
+
+        seen = self._spy(monkeypatch)
+        ids = list(range(10)) + list(range(10**9, 10**9 + 10))
+        docs = pd.DataFrame({
+            "doc_id": np.asarray(ids, np.int64),
+            "text": [" ".join(["w"] * (37 * k % 300 + 1))
+                     for k in range(len(ids))]})
+        sf = tmp_path / "sfG"
+        sf.mkdir()
+        pq.write_table(pa.Table.from_pandas(docs, preserve_index=False),
+                       sf / "documents.parquet")
+        got = to_pandas(Q.doc_pack_chunks(str(sf)))
+        con = duckdb.connect()
+        con.sql(f"CREATE VIEW documents AS SELECT * FROM "
+                f"read_parquet('{sf}/documents.parquet')")
+        want = con.sql(ORACLES["doc_pack_chunks"]).df()
+        assert compare("doc_pack_chunks", got, want, exact=True) is None
+        # 16 doc_id-range buckets: the 14 between the two id runs are empty
+        assert seen[0].bk.tolist() == [0, 15]
+
+
 class _CensusStub:
     """Stands in for both the events Dataset and ``_preagg``'s result:
     every Dataset call returns itself, ``to_pandas`` the crafted census."""
@@ -2062,13 +2178,12 @@ _GRID_OP_EXCHANGES = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(_GRID_OP_EXCHANGES))
-def test_grid_op_exchange_shape(gate, name, monkeypatch):
+def _exchange_calls(monkeypatch, name, sf_dir):
+    """Dataset groupby/sort/repartition calls while building query `name`."""
     import ray.data
 
     from tiff_enrichment_pipeline_ray.pipelines import queries as Q
 
-    _entry, _con, sf_dir = gate
     calls = {}
 
     def counting(method):
@@ -2082,4 +2197,32 @@ def test_grid_op_exchange_shape(gate, name, monkeypatch):
     for method in ("groupby", "sort", "repartition"):
         monkeypatch.setattr(ray.data.Dataset, method, counting(method))
     getattr(Q, name)(sf_dir)
-    assert calls == _GRID_OP_EXCHANGES[name]
+    return calls
+
+
+@pytest.mark.parametrize("name", sorted(_GRID_OP_EXCHANGES))
+def test_grid_op_exchange_shape(gate, name, monkeypatch):
+    _entry, _con, sf_dir = gate
+    assert _exchange_calls(monkeypatch, name, sf_dir) \
+        == _GRID_OP_EXCHANGES[name]
+
+
+# The same count for the two-phase ordered scans (`_bucket_offsets`): one
+# `_preagg` per phase 1 and one bucket groupby per phase 2. The z-order
+# layout adds a per-file `_preagg`; the mixture order chains two scans
+# (per-(bucket, source) ranks, then the global rank over p).
+_SCAN_OP_EXCHANGES = {
+    "doc_pack_chunks": {"groupby": 2, "sort": 2},
+    "events_global_rank": {"groupby": 2, "sort": 2},
+    "geo_zorder_layout": {"groupby": 3, "sort": 3},
+    "doc_shuffle_positions": {"groupby": 2, "sort": 2},
+    "doc_mixture_order": {"groupby": 4, "sort": 4},
+    "events_record_breakers": {"groupby": 2, "sort": 2},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SCAN_OP_EXCHANGES))
+def test_scan_op_exchange_shape(gate, name, monkeypatch):
+    _entry, _con, sf_dir = gate
+    assert _exchange_calls(monkeypatch, name, sf_dir) \
+        == _SCAN_OP_EXCHANGES[name]

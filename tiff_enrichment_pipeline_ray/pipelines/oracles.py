@@ -2764,7 +2764,9 @@ WITH f AS (
 SELECT (SELECT CAST(sum(ca) AS BIGINT) FROM c) AS n_a,
        (SELECT CAST(sum(cb) AS BIGINT) FROM c) AS n_b,
        round(d, 6) AS ks_d, v AS at_value
-FROM d ORDER BY d DESC, v LIMIT 1
+FROM d
+WHERE (SELECT sum(ca) FROM c) > 0 AND (SELECT sum(cb) FROM c) > 0
+ORDER BY d DESC, v LIMIT 1
 """
 
 
@@ -2795,7 +2797,7 @@ SELECT na AS n_a, nb AS n_b,
                  * ((na + nb + 1)
                     - tie / CAST((na + nb) * (na + nb - 1) AS DOUBLE)))),
              6) AS z
-FROM s
+FROM s WHERE na > 0 AND nb > 0
 """
 
 ORACLES["events_runs_test"] = """

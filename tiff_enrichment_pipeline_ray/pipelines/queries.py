@@ -105,17 +105,59 @@ def _ts_filter(col, op, iso):
     return lambda t: t.filter(getattr(pc, op)(t.column(col), bound))
 
 
+def _pq_files(path: str) -> list:
+    """The parquet files of a file or directory path, sorted."""
+    import glob as _glob
+
+    return (sorted(_glob.glob(os.path.join(path, "**", "*.parquet"),
+                              recursive=True))
+            if os.path.isdir(path) else [path])
+
+
 def _pq_nrows(path: str) -> int:
     """Metadata-only parquet row count (file or directory) — no Ray job, no
     data read. Used to size shuffle bucket counts to the input."""
-    import glob as _glob
-
     import pyarrow.parquet as pq
 
-    files = (sorted(_glob.glob(os.path.join(path, "**", "*.parquet"),
-                               recursive=True))
-             if os.path.isdir(path) else [path])
-    return sum(pq.ParquetFile(f).metadata.num_rows for f in files)
+    return sum(pq.ParquetFile(f).metadata.num_rows for f in _pq_files(path))
+
+
+def _pq_colminmax(path: str, col: str) -> tuple:
+    """Metadata-only (min, max) of a column across a parquet file or
+    directory — row-group footer statistics, no Ray job, no data read.
+    Returns the raw statistics (int, float or datetime, by column type);
+    callers cast. Sizes ORDERED range-buckets for the ordered scans."""
+    import pyarrow.parquet as pq
+
+    lo, hi = None, None
+    for f in _pq_files(path):
+        md = pq.ParquetFile(f).metadata
+        idx = {md.schema.column(i).name: i for i in range(md.num_columns)}[col]
+        for rg in range(md.num_row_groups):
+            st = md.row_group(rg).column(idx).statistics
+            lo = st.min if lo is None else min(lo, st.min)
+            hi = st.max if hi is None else max(hi, st.max)
+    return lo, hi
+
+
+def _bucket_offsets(slim, key: str, spec: tuple, scan=np.cumsum, init=0):
+    """Phase 1 of the two-phase ordered scan. ``slim`` rows carry an
+    ORDERED bucket id in ``key``; ``spec`` = (out, src, op) is one
+    ``_preagg`` partial per bucket (≤ nbk rows reach the driver, bounded by
+    the bucket count, not the input). The driver scans the partials in
+    bucket order (``scan`` = np.cumsum for counts and sums,
+    np.maximum.accumulate for a running max) and shifts the result by one
+    bucket from ``init``: bucket b's offset aggregates every bucket < b.
+
+    Returns (partials sorted by bucket, {bucket: exclusive offset}). Phase 2
+    is the caller's ``groupby(key).map_groups``: sort inside the bucket and
+    apply its offset."""
+    parts = _preagg(slim, [key], [spec]).to_pandas()
+    parts = parts.sort_values(key).reset_index(drop=True)
+    acc = scan(parts[spec[0]].to_numpy(np.result_type(init)))
+    offsets = dict(zip(parts[key].to_numpy(np.int64).tolist(),
+                       np.concatenate([[init], acc[:-1]]).tolist()))
+    return parts, offsets
 
 
 def _nbuckets(n_rows: int, rows_per_bucket: int = 4096, lo: int = 64) -> int:
@@ -139,6 +181,31 @@ def _flat_words(texts: pd.Series) -> np.ndarray:
         return np.empty(0, dtype=object)
     return np.array(" ".join(texts.fillna("").tolist()).split(" "),
                     dtype=object)
+
+
+def _ngram_hashes(texts: pd.Series, n: int):
+    """n-token window hashes of one batch of texts. Tokens are hashed ONCE
+    at C level (pd.util.hash_array over the flat token array —
+    deterministic across processes); each window hash is a polynomial
+    combine in wrapping uint64 over a sliding view, and a doc-index mask
+    drops windows that cross a doc boundary. Returns (gh, wdoc, valid,
+    cnts): the int64 hash and the batch row of every in-doc window, the
+    in-doc mask over all window starts of the flat token array, and the
+    per-row token counts; None when the batch holds no window."""
+    if len(texts) == 0:
+        return None
+    texts = texts.fillna("")
+    cnts = (texts.str.count(" ") + 1).to_numpy(np.int64)
+    h = pd.util.hash_array(_flat_words(texts))
+    nw = len(h) - n + 1
+    if nw <= 0:
+        return None
+    doc_of = np.repeat(np.arange(len(texts), dtype=np.int64), cnts)
+    valid = doc_of[:nw] == doc_of[n - 1:]  # window start+end in same doc
+    W = np.lib.stride_tricks.sliding_window_view(h, n)[valid]
+    pw = np.uint64(0x9E3779B97F4A7C15) ** np.arange(n, dtype=np.uint64)
+    gh = (W * pw).sum(axis=1, dtype=np.uint64).view(np.int64)
+    return gh, doc_of[:nw][valid], valid, cnts
 
 
 def _spread_read(sf_dir: str, table: str, columns,
@@ -973,6 +1040,23 @@ def events_type_minmax(sf_dir: str):
 
 def _epoch_us(s: pd.Series) -> np.ndarray:
     return s.to_numpy(dtype="datetime64[us]").astype(np.int64)
+
+
+def _daily_type_counts(sf_dir: str) -> pd.DataFrame:
+    """The per-(event_type, dkey) DAILY count census (dkey = epoch day), c
+    = COUNT(*): ONE `_preagg` over the events; the driver frame is bounded
+    by types × days (calendar-bounded, not corpus-bounded)."""
+    ev = read_testdata(sf_dir, "events", columns=["event_type", "ts"])
+    DAY = 86_400_000_000
+
+    def keyed(df: pd.DataFrame) -> pd.DataFrame:
+        return pd.DataFrame({
+            "event_type": df.event_type.to_numpy(),
+            "dkey": (_epoch_us(df.ts) // DAY).astype(np.int64)})
+
+    return _preagg(ev.map_batches(keyed, batch_format="pandas"),
+                   ["event_type", "dkey"],
+                   [("c", None, "count")]).to_pandas()
 
 
 def events_sessionize(sf_dir: str, gap_min: int = 30):
@@ -1988,6 +2072,13 @@ def thumbnails(sf_dir: str):
     return ds.map_batches(meta, batch_format="pandas")
 
 
+def _png_len(df: pd.DataFrame) -> pd.DataFrame:
+    """Swap a rendered ``png`` column for its byte length ``png_len``."""
+    df = df.copy()
+    df["png_len"] = df.png.map(len).astype(np.int64)
+    return df.drop(columns=["png"])
+
+
 def index_visualizations(sf_dir: str):
     """Index-map visualizations (visualizer.py:75-153): per (capture,
     index), the reference's colormap/vmin/vmax rendering PNG-encoded via
@@ -1999,13 +2090,7 @@ def index_visualizations(sf_dir: str):
 
     out = _flagship_out(synth.sf_from_dir(sf_dir))
     ds = index_visualizations_dataset(out)
-
-    def slim(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["png_len"] = df.png.map(len).astype(np.int64)
-        return df.drop(columns=["png"])
-
-    return ds.map_batches(slim, batch_format="pandas")
+    return ds.map_batches(_png_len, batch_format="pandas")
 
 
 def band_histograms(sf_dir: str):
@@ -2017,13 +2102,7 @@ def band_histograms(sf_dir: str):
 
     img_dir = synth.ensure_images(synth.sf_from_dir(sf_dir))
     ds = band_histograms_dataset(img_dir)
-
-    def slim(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["png_len"] = df.png.map(len).astype(np.int64)
-        return df.drop(columns=["png"])
-
-    return ds.map_batches(slim, batch_format="pandas")
+    return ds.map_batches(_png_len, batch_format="pandas")
 
 
 def location_map(sf_dir: str):
@@ -2036,13 +2115,7 @@ def location_map(sf_dir: str):
 
     out = _flagship_out(synth.sf_from_dir(sf_dir))
     ds = location_map_dataset(out)
-
-    def slim(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["png_len"] = df.png.map(len).astype(np.int64)
-        return df.drop(columns=["png"])
-
-    return ds.map_batches(slim, batch_format="pandas")
+    return ds.map_batches(_png_len, batch_format="pandas")
 
 
 def micasense_sets(sf_dir: str):
@@ -4469,7 +4542,7 @@ def doc_substring_dup_spans(sf_dir: str, n: int = 8):
     dup_frac = round(n_dup_spans / n_spans, 6) (0.0 when the doc has no
     windows).
 
-    Scale shape: tokens are hashed ONCE per batch at C level
+    Scale shape: ``_ngram_hashes`` hashes tokens ONCE per batch at C level
     (pd.util.hash_array over the flat token array — deterministic across
     processes); window hashes are a sliding polynomial combine in numpy (no
     per-gram Python, windows never cross doc boundaries via a doc-index
@@ -4484,29 +4557,19 @@ def doc_substring_dup_spans(sf_dir: str, n: int = 8):
     lanes beyond ~10^9 grams)."""
     docs, nd = _spread_read(sf_dir, "documents", ["doc_id", "text"])
     nbk = _nbuckets(nd, rows_per_bucket=4096, lo=16)
-    pw = np.uint64(0x9E3779B97F4A7C15) ** np.arange(n, dtype=np.uint64)
 
     def gram_partials(df: pd.DataFrame) -> pd.DataFrame:
         empty = pd.DataFrame({"gh": np.empty(0, np.int64),
                               "doc_id": np.empty(0, np.int64),
                               "cnt": np.empty(0, np.int64),
                               "bk": np.empty(0, np.int64)})
-        if len(df) == 0:
+        r = _ngram_hashes(df.text, n)
+        if r is None:
             return empty
-        texts = df.text.fillna("")
-        cnts = (texts.str.count(" ") + 1).to_numpy(np.int64)
-        h = pd.util.hash_array(_flat_words(texts))
-        nw = len(h) - n + 1
-        if nw <= 0:
-            return empty
-        # window start and end must fall in the SAME doc
-        doc_of = np.repeat(np.arange(len(df), dtype=np.int64), cnts)
-        valid = doc_of[:nw] == doc_of[n - 1:]
-        W = np.lib.stride_tricks.sliding_window_view(h, n)[valid]
-        gh = (W * pw).sum(axis=1, dtype=np.uint64).view(np.int64)
+        gh, wdoc, _, _ = r
         occ = (pd.DataFrame({
                    "gh": gh,
-                   "doc_id": df.doc_id.to_numpy(np.int64)[doc_of[:nw][valid]]})
+                   "doc_id": df.doc_id.to_numpy(np.int64)[wdoc]})
                .groupby(["gh", "doc_id"], sort=False)
                .size().reset_index(name="cnt"))
         occ["cnt"] = occ.cnt.astype(np.int64)
@@ -4980,31 +5043,21 @@ def doc_substring_dedup_tokens(sf_dir: str, n: int = 8):
     re-key through a doc-bucket exchange, and the per-doc interval union
     is fully vectorized across docs (sorted positions; each window
     contributes min(gap, n) tokens — no per-doc Python loop). Window
-    hashing is identical to doc_substring_dup_spans (hash equality stands
-    in for window equality, birthday-bounded)."""
+    hashing is ``_ngram_hashes``, shared with doc_substring_dup_spans (hash
+    equality stands in for window equality, birthday-bounded)."""
     docs, nd = _spread_read(sf_dir, "documents", ["doc_id", "text"])
     nbk = _nbuckets(nd, rows_per_bucket=4096, lo=16)
-    pw = np.uint64(0x9E3779B97F4A7C15) ** np.arange(n, dtype=np.uint64)
 
     def window_rows(df: pd.DataFrame) -> pd.DataFrame:
         empty = pd.DataFrame({"gh": np.empty(0, np.int64),
                               "doc_id": np.empty(0, np.int64),
                               "pos": np.empty(0, np.int64),
                               "bk": np.empty(0, np.int64)})
-        if len(df) == 0:
+        r = _ngram_hashes(df.text, n)
+        if r is None:
             return empty
-        texts = df.text.fillna("")
-        cnts = (texts.str.count(" ") + 1).to_numpy(np.int64)
-        h = pd.util.hash_array(_flat_words(texts))
-        nw = len(h) - n + 1
-        if nw <= 0:
-            return empty
-        doc_of = np.repeat(np.arange(len(df), dtype=np.int64), cnts)
-        valid = doc_of[:nw] == doc_of[n - 1:]  # window start+end in same doc
-        W = np.lib.stride_tricks.sliding_window_view(h, n)[valid]
-        gh = (W * pw).sum(axis=1, dtype=np.uint64).view(np.int64)
+        gh, wdoc, valid, cnts = r
         starts = np.cumsum(cnts) - cnts
-        wdoc = doc_of[:nw][valid]
         pos = np.flatnonzero(valid) - starts[wdoc]  # 0-based within doc
         out = pd.DataFrame({"gh": gh,
                             "doc_id": df.doc_id.to_numpy(np.int64)[wdoc],
@@ -5208,28 +5261,6 @@ def doc_tfidf_topterms(sf_dir: str, k: int = 5):
             .map_groups(topk, batch_format="pandas"))
 
 
-def _pq_colminmax(path: str, col: str) -> tuple[int, int]:
-    """Metadata-only (min, max) of an integer column across a parquet file
-    or directory — row-group footer statistics, no Ray job, no data read.
-    Sizes ORDERED range-buckets for prefix-sum style operators."""
-    import glob as _glob
-
-    import pyarrow.parquet as pq
-
-    files = (sorted(_glob.glob(os.path.join(path, "**", "*.parquet"),
-                               recursive=True))
-             if os.path.isdir(path) else [path])
-    lo, hi = None, None
-    for f in files:
-        md = pq.ParquetFile(f).metadata
-        idx = {md.schema.column(i).name: i for i in range(md.num_columns)}[col]
-        for rg in range(md.num_row_groups):
-            st = md.row_group(rg).column(idx).statistics
-            lo = st.min if lo is None else min(lo, st.min)
-            hi = st.max if hi is None else max(hi, st.max)
-    return int(lo), int(hi)
-
-
 def doc_pack_chunks(sf_dir: str, capacity: int = 512):
     """LLM-pretraining sequence packing (concat-and-chunk): documents are
     concatenated in doc_id order and cut into fixed `capacity`-token
@@ -5240,18 +5271,18 @@ def doc_pack_chunks(sf_dir: str, capacity: int = 512):
     doc_source_token_budget (bounded groups), the running total here is
     over the WHOLE corpus in a total order.
 
-    Scale shape: the classic two-phase scan. Docs are range-bucketed by
-    doc_id (ORDERED buckets from parquet footer min/max — metadata only);
-    phase 1 sums tokens per bucket (one tiny aggregate, <= nbk rows to the
-    driver — bounded by the bucket count, not the corpus); the driver
-    prefix-sums that vector and broadcasts bucket offsets; phase 2 does an
-    exact in-bucket cumsum (vectorized sort + cumsum per bucket) on top of
-    its bucket's offset. Token counts are computed once into a slim
+    Scale shape: the two-phase ordered scan of ``_bucket_offsets``. Docs
+    are range-bucketed by doc_id (ORDERED buckets from parquet footer
+    min/max — metadata only); phase 1 sums tokens per bucket (<= nbk rows
+    to the driver) and prefix-sums them into bucket offsets; phase 2 does
+    an exact in-bucket cumsum (vectorized sort + cumsum per bucket) on top
+    of its bucket's offset. Token counts are computed once into a slim
     materialized (doc_id, n_tokens) projection (16 B/row) so the text is
     parsed a single time. Output is integer-only."""
     docs, nd = _spread_read(sf_dir, "documents", ["doc_id", "text"])
     nbk = _nbuckets(nd, rows_per_bucket=4096, lo=16)
-    lo_id, hi_id = _pq_colminmax(testdata_path(sf_dir, "documents"), "doc_id")
+    lo_id, hi_id = map(int, _pq_colminmax(testdata_path(sf_dir, "documents"),
+                                          "doc_id"))
     rng = max(1, (hi_id - lo_id + 1 + nbk - 1) // nbk)
 
     def tok_counts(df: pd.DataFrame) -> pd.DataFrame:
@@ -5261,13 +5292,7 @@ def doc_pack_chunks(sf_dir: str, capacity: int = 512):
                              "bk": (ids - lo_id) // rng})
 
     slim = docs.map_batches(tok_counts, batch_format="pandas").materialize()
-
-    # phase 1: per-bucket token sums -> driver prefix (<= nbk rows)
-    sums = _preagg(slim, ["bk"], [("tok", "n_tokens", "sum")]).to_pandas()
-    sums = sums.sort_values("bk").reset_index(drop=True)
-    csum = sums.tok.to_numpy(np.int64).cumsum()
-    offsets = dict(zip(sums.bk.to_numpy(np.int64).tolist(),
-                       np.concatenate([[0], csum[:-1]]).tolist()))
+    _, offsets = _bucket_offsets(slim, "bk", ("tok", "n_tokens", "sum"))
 
     def pack(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values("doc_id", kind="mergesort")
@@ -6061,32 +6086,17 @@ def events_global_rank(sf_dir: str):
     exactly-converted int64s — bit-identical across engines; value is a
     copied double).
 
-    Scale shape: the two-phase prefix-sum of doc_pack_chunks applied to
-    VALUE-range buckets instead of id ranges. Bucket bounds come from the
-    parquet footer min/max (metadata only, no scan); every row maps to one
-    ORDERED bucket; phase 1 counts rows per bucket (≤ nbk rows to the
-    driver), the driver prefix-sums and broadcasts offsets; phase 2 sorts
-    WITHIN each bucket (vectorized mergesort on (value, event_id)) and
-    adds the offset. Equal-width value buckets can skew on pathological
-    distributions — the fix at 100 TB is sampled quantile bounds feeding
-    the same two phases; the exchange count does not change."""
-    import pyarrow.parquet as pq_
-    import glob as _glob
-
-    path = testdata_path(sf_dir, "events")
-    files = (sorted(_glob.glob(os.path.join(path, "**", "*.parquet"),
-                               recursive=True))
-             if os.path.isdir(path) else [path])
-    lo = hi = None
-    for f in files:
-        md = pq_.ParquetFile(f).metadata
-        idx = {md.schema.column(i).name: i
-               for i in range(md.num_columns)}["value"]
-        for rg in range(md.num_row_groups):
-            st = md.row_group(rg).column(idx).statistics
-            lo = st.min if lo is None else min(lo, st.min)
-            hi = st.max if hi is None else max(hi, st.max)
-    lo, hi = float(lo), float(hi)
+    Scale shape: the two-phase ordered scan of ``_bucket_offsets`` over
+    VALUE-range buckets. Bucket bounds come from the parquet footer min/max
+    (metadata only, no scan); every row maps to one ORDERED bucket; phase 1
+    counts rows per bucket (≤ nbk rows to the driver) and prefix-sums them
+    into offsets; phase 2 sorts WITHIN each bucket (vectorized mergesort on
+    (value, event_id)) and adds the offset. Equal-width value buckets can
+    skew on pathological distributions — the fix at 100 TB is sampled
+    quantile bounds feeding the same two phases; the exchange count does
+    not change."""
+    lo, hi = map(float, _pq_colminmax(testdata_path(sf_dir, "events"),
+                                      "value"))
 
     ev, ne = _spread_read(sf_dir, "events", ["event_id", "value"])
     nbk = _nbuckets(ne, rows_per_bucket=8192, lo=32)
@@ -6099,12 +6109,8 @@ def events_global_rank(sf_dir: str):
                              "value": v, "bk": bk})
 
     slim = ev.map_batches(keyed, batch_format="pandas").materialize()
-    cnts = _preagg(slim, ["bk"], [("n", None, "count")]).to_pandas()
-    cnts = cnts.sort_values("bk").reset_index(drop=True)
-    csum = cnts.n.to_numpy(np.int64).cumsum()
-    offsets = dict(zip(cnts.bk.to_numpy(np.int64).tolist(),
-                       np.concatenate([[0], csum[:-1]]).tolist()))
-    n_total = int(csum[-1]) if len(csum) else 0
+    cnts, offsets = _bucket_offsets(slim, "bk", ("n", None, "count"))
+    n_total = int(cnts.n.sum())
 
     def rank_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["value", "event_id"], kind="mergesort")
@@ -6264,7 +6270,6 @@ def doc_decontaminate(sf_dir: str, n: int = 8, eval_source: str = "src0"):
     docs, nd = _spread_read(sf_dir, "documents",
                             ["doc_id", "text", "source"])
     nbk = _nbuckets(nd, rows_per_bucket=4096, lo=16)
-    pw = np.uint64(0x9E3779B97F4A7C15) ** np.arange(n, dtype=np.uint64)
 
     def gram_partials(df: pd.DataFrame) -> pd.DataFrame:
         empty = pd.DataFrame({"gh": np.empty(0, np.int64),
@@ -6272,19 +6277,10 @@ def doc_decontaminate(sf_dir: str, n: int = 8, eval_source: str = "src0"):
                               "cnt": np.empty(0, np.int64),
                               "ev": np.empty(0, np.int64),
                               "bk": np.empty(0, np.int64)})
-        if len(df) == 0:
+        r = _ngram_hashes(df.text, n)
+        if r is None:
             return empty
-        texts = df.text.fillna("")
-        cnts = (texts.str.count(" ") + 1).to_numpy(np.int64)
-        h = pd.util.hash_array(_flat_words(texts))
-        nw = len(h) - n + 1
-        if nw <= 0:
-            return empty
-        doc_of = np.repeat(np.arange(len(df), dtype=np.int64), cnts)
-        valid = doc_of[:nw] == doc_of[n - 1:]
-        W = np.lib.stride_tricks.sliding_window_view(h, n)[valid]
-        gh = (W * pw).sum(axis=1, dtype=np.uint64).view(np.int64)
-        rows_doc = doc_of[:nw][valid]
+        gh, rows_doc, _, _ = r
         ev = (df.source.to_numpy(object) == eval_source).astype(np.int64)
         occ = (pd.DataFrame({
                    "gh": gh,
@@ -6625,16 +6621,16 @@ def geo_zorder_layout(sf_dir: str, nfiles: int = 64):
     files via the manifest alone). Integer-only → hash-exact vs the
     oracle's window-function formulation.
 
-    Scale shape: events_global_rank's two-phase distributed order
-    statistic applied to the COMPUTED Morton key — no global sort
-    barrier. Keys are equal-width-bucketed over the fixed [0, 2^26) key
-    space; phase 1 counts rows per bucket (≤ nbk tiny rows to the
-    driver), the driver prefix-sums and broadcasts offsets; phase 2
-    sorts WITHIN each bucket (vectorized, on (zkey, event_id)) and maps
-    global rank → file id, then pre-aggregates per-file partials
-    in-bucket, so the final exchange carries ≤ nbk × O(1) partial rows.
-    Skewed key regions only imbalance bucket sizes, never correctness;
-    the 100-TB fix is sampled quantile bucket bounds, same two phases."""
+    Scale shape: the two-phase ordered scan of ``_bucket_offsets`` applied
+    to the COMPUTED Morton key — no global sort barrier. Keys are
+    equal-width-bucketed over the fixed [0, 2^26) key space; phase 1 counts
+    rows per bucket (≤ nbk tiny rows to the driver) and prefix-sums them
+    into offsets; phase 2 sorts WITHIN each bucket (vectorized, on (zkey,
+    event_id)) and maps global rank → file id, then pre-aggregates per-file
+    partials in-bucket, so the final exchange carries ≤ nbk × O(1) partial
+    rows. Skewed key regions only imbalance bucket sizes, never
+    correctness; the 100-TB fix is sampled quantile bucket bounds, same two
+    phases."""
     ev, ne = _spread_read(sf_dir, "events", ["event_id"])
     nbk = _nbuckets(ne, rows_per_bucket=8192, lo=32)
     zspace = np.int64(1) << 26
@@ -6648,12 +6644,8 @@ def geo_zorder_layout(sf_dir: str, nfiles: int = 64):
                              "bk": z * nbk // zspace})
 
     slim = ev.map_batches(keyed, batch_format="pandas").materialize()
-    cnts = _preagg(slim, ["bk"], [("n", None, "count")]).to_pandas()
-    cnts = cnts.sort_values("bk").reset_index(drop=True)
-    csum = cnts.n.to_numpy(np.int64).cumsum()
-    offsets = dict(zip(cnts.bk.to_numpy(np.int64).tolist(),
-                       np.concatenate([[0], csum[:-1]]).tolist()))
-    n_total = int(csum[-1]) if len(csum) else 0
+    cnts, offsets = _bucket_offsets(slim, "bk", ("n", None, "count"))
+    n_total = int(cnts.n.sum())
 
     def assign(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["zkey", "event_id"], kind="mergesort")
@@ -6805,32 +6797,15 @@ def events_record_breakers(sf_dir: str):
     value): copied doubles under pure comparisons (no arithmetic) —
     hash-exact vs the window-function oracle.
 
-    Scale shape: the two-phase prefix scan of doc_pack_chunks with MAX as
-    the monoid instead of SUM — and a pruning bonus SUM can't have: time
-    buckets from parquet footer ts min/max (metadata only); phase 1
-    reduces each bucket to its max (≤ nbk tiny rows to the driver); the
-    driver prefix-maxes and broadcasts per-bucket offsets; phase 2 keeps
-    rows beating max(bucket offset, in-bucket running max) — and ENTIRE
-    buckets whose max is below their offset are dropped before the
-    in-bucket sort (at 100 TB most of the stream prunes: records get
-    rare as the running max climbs)."""
-    import glob as _glob
-
-    import pyarrow.parquet as pq_
-
-    path = testdata_path(sf_dir, "events")
-    files = (sorted(_glob.glob(os.path.join(path, "**", "*.parquet"),
-                               recursive=True))
-             if os.path.isdir(path) else [path])
-    lo = hi = None
-    for f in files:
-        md = pq_.ParquetFile(f).metadata
-        idx = {md.schema.column(i).name: i
-               for i in range(md.num_columns)}["ts"]
-        for rg in range(md.num_row_groups):
-            st = md.row_group(rg).column(idx).statistics
-            lo = st.min if lo is None else min(lo, st.min)
-            hi = st.max if hi is None else max(hi, st.max)
+    Scale shape: the two-phase ordered scan of ``_bucket_offsets`` with MAX
+    as the monoid instead of SUM — and a pruning bonus SUM can't have: time
+    buckets from parquet footer ts min/max (metadata only); phase 1 reduces
+    each bucket to its max (≤ nbk tiny rows to the driver) and prefix-maxes
+    them into per-bucket offsets; phase 2 keeps rows beating max(bucket
+    offset, in-bucket running max) — and ENTIRE buckets whose max is below
+    their offset are dropped before the in-bucket sort (at 100 TB most of
+    the stream prunes: records get rare as the running max climbs)."""
+    lo, hi = _pq_colminmax(testdata_path(sf_dir, "events"), "ts")
     lo_us = np.datetime64(lo, "us").astype(np.int64)
     hi_us = np.datetime64(hi, "us").astype(np.int64)
 
@@ -6846,16 +6821,12 @@ def events_record_breakers(sf_dir: str):
                              "bk": (us - lo_us) // width})
 
     slim = ev.map_batches(keyed, batch_format="pandas").materialize()
-    # phase 1: per-bucket max -> driver prefix-max (<= nbk rows)
-    mx = _preagg(slim, ["bk"], [("mx", "value", "max")]).to_pandas()
-    mx = mx.sort_values("bk").reset_index(drop=True)
-    bks = mx.bk.to_numpy(np.int64)
-    pmax = np.concatenate([[-np.inf], np.maximum.accumulate(
-        mx.mx.to_numpy(np.float64))[:-1]])
-    offsets = dict(zip(bks.tolist(), pmax.tolist()))
+    mx, offsets = _bucket_offsets(slim, "bk", ("mx", "value", "max"),
+                                  scan=np.maximum.accumulate, init=-np.inf)
     # bucket-level pruning: a bucket whose own max can't beat its offset
     # contributes nothing
-    live = {int(b) for b, m, o in zip(bks, mx.mx.to_numpy(), pmax) if m > o}
+    live = {b for b, m in zip(mx.bk.tolist(), mx.mx.tolist())
+            if m > offsets[b]}
 
     def records(g: pd.DataFrame) -> pd.DataFrame:
         empty = pd.DataFrame({"event_id": np.empty(0, np.int64),
@@ -6926,13 +6897,13 @@ def doc_shuffle_positions(sf_dir: str, seed: int = 17):
     the same integer arithmetic. Output (doc_id, shuffle_pos), 1-based —
     integer-only, hash-exact vs the window-function oracle.
 
-    Scale shape: the two-phase distributed order statistic (no global
-    sort barrier) over the FIXED [0, 2^32) hash space: phase-1 per-bucket
-    counts (≤ nbk rows to the driver), broadcast prefix offsets, phase-2
-    in-bucket vectorized sort + offset. The multiplicative constant is
-    Knuth's 2654435761; products stay < 2^63 for any doc_id < 2^31, so
-    the modulo is exact int64 arithmetic in numpy AND DuckDB (which
-    errors, not wraps, on BIGINT overflow — the guard that matters)."""
+    Scale shape: the two-phase ordered scan of ``_bucket_offsets`` (no
+    global sort barrier) over the FIXED [0, 2^32) hash space: phase-1
+    per-bucket counts (≤ nbk rows to the driver), broadcast prefix offsets,
+    phase-2 in-bucket vectorized sort + offset. The multiplicative constant
+    is Knuth's 2654435761; products stay < 2^63 for any doc_id < 2^31, so
+    the modulo is exact int64 arithmetic in numpy AND DuckDB (which errors,
+    not wraps, on BIGINT overflow — the guard that matters)."""
     docs, nd = _spread_read(sf_dir, "documents", ["doc_id"])
     nbk = _nbuckets(nd, rows_per_bucket=8192, lo=16)
     M = np.int64(2654435761)
@@ -6946,11 +6917,7 @@ def doc_shuffle_positions(sf_dir: str, seed: int = 17):
                              "bk": h * nbk // SPACE})
 
     slim = docs.map_batches(keyed, batch_format="pandas").materialize()
-    cnts = _preagg(slim, ["bk"], [("n", None, "count")]).to_pandas()
-    cnts = cnts.sort_values("bk").reset_index(drop=True)
-    csum = cnts.n.to_numpy(np.int64).cumsum()
-    offsets = dict(zip(cnts.bk.to_numpy(np.int64).tolist(),
-                       np.concatenate([[0], csum[:-1]]).tolist()))
+    _, offsets = _bucket_offsets(slim, "bk", ("n", None, "count"))
 
     def rank_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["h", "doc_id"], kind="mergesort")
@@ -6972,22 +6939,21 @@ def doc_mixture_order(sf_dir: str):
     Weights are a deterministic function of the source id (1 + idx % 4).
     Output (doc_id, mix_pos), 1-based.
 
-    Scale shape: two chained two-phase order statistics, NEVER a
-    per-source group (sources are bounded in NUMBER but not in SIZE — a
-    single map_groups per source would put billions of rows in one task
-    at 100 TB). Within-source ranks: doc_id-range buckets (footer min/max,
+    Scale shape: two chained two-phase order statistics, NEVER a per-source
+    group (sources are bounded in NUMBER but not in SIZE — a single
+    map_groups per source would put billions of rows in one task at 100
+    TB). Within-source ranks: doc_id-range buckets (footer min/max,
     metadata only); phase-1 per-(bucket, source) counts — ≤ nbk × n_src
     tiny rows to the driver — prefix-summed per source in bucket order;
-    phase-2 in-bucket per-source sort + offsets, emitting slim
-    (doc_id, p) rows bucketed by p. Global rank over p: the same two
-    phases on the p-range (p ≤ n_docs / min_w). The p = rn/w quotient is
-    ONE IEEE divide of an exact int by a small exact double —
-    bit-identical in numpy and DuckDB, so the order (and the integer
-    output) is hash-exact."""
+    phase-2 in-bucket per-source sort + offsets, emitting slim (doc_id, p)
+    rows bucketed by p. Global rank over p: the ``_bucket_offsets`` ordered
+    scan on the p-range (p ≤ n_docs / min_w). The p = rn/w quotient is ONE
+    IEEE divide of an exact int by a small exact double — bit-identical in
+    numpy and DuckDB, so the order (and the integer output) is hash-exact."""
     docs, nd = _spread_read(sf_dir, "documents", ["doc_id", "source"])
     nbk = _nbuckets(nd, rows_per_bucket=8192, lo=16)
-    lo_id, hi_id = _pq_colminmax(testdata_path(sf_dir, "documents"),
-                                 "doc_id")
+    lo_id, hi_id = map(int, _pq_colminmax(testdata_path(sf_dir, "documents"),
+                                          "doc_id"))
     rng = max(1, (hi_id - lo_id + 1 + nbk - 1) // nbk)
     pwidth = max(float(nd) / nbk, 1e-300)
 
@@ -7027,12 +6993,9 @@ def doc_mixture_order(sf_dir: str):
     mid = (slim.groupby("bk").map_groups(within_rank, batch_format="pandas")
            .materialize())
 
-    # phase 1b/2b: global rank over p (same two phases on the p-range)
-    c2 = _preagg(mid, ["pbk"], [("n", None, "count")]).to_pandas()
-    c2 = c2.sort_values("pbk").reset_index(drop=True)
-    csum = c2.n.to_numpy(np.int64).cumsum()
-    off2 = dict(zip(c2.pbk.to_numpy(np.int64).tolist(),
-                    np.concatenate([[0], csum[:-1]]).tolist()))
+    # phase 1b/2b: global rank over p (the _bucket_offsets scan on the
+    # p-range)
+    _, off2 = _bucket_offsets(mid, "pbk", ("n", None, "count"))
 
     def rank_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["p", "doc_id"], kind="mergesort")
@@ -8743,17 +8706,7 @@ def events_autocorr_daily(sf_dir: str):
     Scale shape: the corpus-scale work is ONE _preagg to daily counts;
     the ACF runs on the bounded types × days series on the driver
     (calendar-bounded, not corpus-bounded)."""
-    ev = read_testdata(sf_dir, "events", columns=["event_type", "ts"])
-    DAY = 86_400_000_000
-
-    def keyed(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({
-            "event_type": df.event_type.to_numpy(),
-            "dkey": (_epoch_us(df.ts) // DAY).astype(np.int64)})
-
-    daily = _preagg(ev.map_batches(keyed, batch_format="pandas"),
-                    ["event_type", "dkey"],
-                    [("c", None, "count")]).to_pandas()
+    daily = _daily_type_counts(sf_dir)
     rows = []
     for et, g in daily.groupby("event_type", sort=False):
         series = dict(zip(g.dkey.to_numpy(np.int64),
@@ -9110,8 +9063,8 @@ def events_gini(sf_dir: str):
 
     Scale shape: the corpus-scale work is ONE `_preagg` to per-user
     counts; the ranked sum runs on that user-bounded census
-    driver-side (swap in the events_global_rank two-phase order
-    statistic beyond ~10⁷ users — same output, documented boundary)."""
+    driver-side (swap in the ``_bucket_offsets`` ordered scan beyond
+    ~10⁷ users — same output, documented boundary)."""
     ev = read_testdata(sf_dir, "events", columns=["user_id"])
     cnt = _preagg(ev, ["user_id"], [("c", None, "count")]).to_pandas()
     c = cnt.sort_values(["c", "user_id"]).c.to_numpy(np.int64).tolist()
@@ -9227,17 +9180,7 @@ def events_theil_sen(sf_dir: str):
     Scale shape: ONE `_preagg` to daily counts; the pairwise-slope
     reduction is quadratic in the SPAN (calendar-bounded), never in
     rows, and runs per type on the bounded census."""
-    ev = read_testdata(sf_dir, "events", columns=["event_type", "ts"])
-    DAY = 86_400_000_000
-
-    def keyed(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({
-            "event_type": df.event_type.to_numpy(),
-            "dkey": (_epoch_us(df.ts) // DAY).astype(np.int64)})
-
-    daily = _preagg(ev.map_batches(keyed, batch_format="pandas"),
-                    ["event_type", "dkey"],
-                    [("c", None, "count")]).to_pandas()
+    daily = _daily_type_counts(sf_dir)
     rows = []
     for et, g in daily.groupby("event_type", sort=False):
         d = g.dkey.to_numpy(np.int64)
@@ -9301,8 +9244,8 @@ def events_ks_drift(sf_dir: str, type_a: str = "view",
 
     Scale shape: ONE `_preagg` to the (value, type) census (bounded by
     the distinct-value domain, not rows); the ECDF scan runs on that
-    census driver-side (swap for a prefix-sum two-phase scan beyond
-    ~10⁷ distinct values — documented boundary)."""
+    census driver-side (swap for the ``_bucket_offsets`` ordered scan
+    beyond ~10⁷ distinct values — documented boundary)."""
     ev = read_testdata(sf_dir, "events",
                        columns=["event_type", "value"])
 
@@ -9402,17 +9345,7 @@ def events_runs_test(sf_dir: str):
 
     Scale shape: ONE `_preagg` to daily counts; the run scan walks the
     calendar-bounded series."""
-    ev = read_testdata(sf_dir, "events", columns=["event_type", "ts"])
-    DAY = 86_400_000_000
-
-    def keyed(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({
-            "event_type": df.event_type.to_numpy(),
-            "dkey": (_epoch_us(df.ts) // DAY).astype(np.int64)})
-
-    daily = _preagg(ev.map_batches(keyed, batch_format="pandas"),
-                    ["event_type", "dkey"],
-                    [("c", None, "count")]).to_pandas()
+    daily = _daily_type_counts(sf_dir)
     rows = []
     for et, g in daily.groupby("event_type", sort=False):
         o = np.argsort(g.dkey.to_numpy(np.int64))

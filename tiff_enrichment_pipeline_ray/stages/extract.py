@@ -2,8 +2,10 @@
 
 All four are STATELESS vectorized ``map_batches`` transforms
 (batch_format="pyarrow"); Ray's streaming executor fuses the chain into one
-task per block, so decoded stats / parsed GPS / georef math / cell encode run
-in a single pass over each Arrow block.
+task per block, so header parse / parsed GPS / georef math / cell encode run
+in a single pass over each Arrow block. Pixels are decoded once, later, by
+the flagship's decode stage (pipelines/flagship.py), which adds the
+per-image stats.
 
 Reference semantics re-implemented (not copied):
 - filename classification IMG_\\d{4}_[1-5] → micasense vs regular
@@ -12,8 +14,6 @@ Reference semantics re-implemented (not copied):
   deviation; the reference globs directories of ≤10⁴ files).
 - EXIF-analogue header parse + GPS DMS/altitude/timestamp parsers
   (gps_utils.py:44-96, 7-42, 73-86) — via functions.geo.
-- per-image stats (min/max/mean/std/zero-ratio) — the per-chunk stats of
-  rasterio_utils.py:257-296, computed exactly (no biased merge).
 - quality validation predicates (validation.py:172-236, main.py:165-175):
   min dims, value range, zero-ratio, DateTime presence; georeference checks
   (main.py:494-507): CRS, pixel-size bounds; NL-bounds (main.py:476-517).
@@ -46,91 +46,10 @@ from ..functions.cells import grid_cell_id, hex7_cells_multi, s2_cell
 _MICASENSE_RE = re.compile(r"^IMG_(\d{4,})_([1-5])$")
 
 
-def extract_meta(batch: pa.Table) -> pa.Table:
-    """Decode headers + pixels once per row → metadata/stat columns.
-
-    Per-row failures NEVER raise — decode_ok=False rows are quarantined
-    downstream (failure isolation, main.py:244-251 / SURVEY §4)."""
-    ids = batch.column("image_id").to_pylist()
-    blobs = batch.column("bytes").to_pylist()
-    n = len(ids)
-    decode_ok = np.zeros(n, dtype=bool)
-    lat_s = [""] * n
-    lon_s = [""] * n
-    alt_s = [""] * n
-    ts_s = [""] * n
-    cam = [""] * n
-    px_min = np.zeros(n, dtype=np.int32)
-    px_max = np.zeros(n, dtype=np.int32)
-    px_mean = np.full(n, np.nan)
-    px_std = np.full(n, np.nan)
-    zero_ratio = np.full(n, np.nan)
-    px_p25 = np.full(n, np.nan)
-    px_p50 = np.full(n, np.nan)
-    px_p75 = np.full(n, np.nan)
-    for i, blob in enumerate(blobs):
-        px, meta, ok = codec.decode_image(blob)
-        if not ok:
-            continue
-        decode_ok[i] = True
-        lat_s[i] = meta.get("GPS Latitude", "")
-        lon_s[i] = meta.get("GPS Longitude", "")
-        alt_s[i] = meta.get("GPS Altitude", "")
-        ts_s[i] = meta.get("Date/Time Original", "")
-        cam[i] = meta.get("Camera Model Name", "")
-        f = px.astype(np.float64)
-        px_min[i] = int(px.min())
-        px_max[i] = int(px.max())
-        px_mean[i] = float(f.mean())
-        px_std[i] = float(f.std())
-        zero_ratio[i] = float((px == 0).mean())
-        # A4 percentiles (rasterio_utils.py:282-292: np.percentile [25,50,75])
-        px_p25[i], px_p50[i], px_p75[i] = np.percentile(f, (25, 50, 75))
-
-    # filename classification + capture id (vectorized regex)
-    sid = pd.Series(ids, dtype="string")
-    m = sid.str.extract(r"^IMG_(\d{4,})_([1-5])$")
-    is_mica = m[0].notna().to_numpy(dtype=bool)
-    capture_id = ("IMG_" + m[0]).fillna("").to_numpy(dtype=object)
-    band = pd.to_numeric(m[1], errors="coerce").fillna(0).to_numpy(dtype=np.int32)
-
-    lat = geo.parse_gps_coords(pd.Series(lat_s))
-    lon = geo.parse_gps_coords(pd.Series(lon_s))
-    has_gps = np.array([bool(a) and bool(b) for a, b in zip(lat_s, lon_s)])
-    alt = geo.parse_altitude(pd.Series(alt_s))
-    ts = geo.parse_exif_datetime(pd.Series(ts_s))
-
-    cols = {
-        "decode_ok": decode_ok,
-        "file_class": np.where(is_mica, "micasense", "regular"),
-        "capture_id": capture_id.astype(str),
-        "band": band,
-        "has_gps": has_gps,
-        "lat": np.where(has_gps, lat, np.nan),
-        "lon": np.where(has_gps, lon, np.nan),
-        "alt_m": alt,
-        "camera": np.array(cam, dtype=object).astype(str),
-        "ts_raw": np.array(ts_s, dtype=object).astype(str),
-        "px_min": px_min,
-        "px_max": px_max,
-        "px_mean": px_mean,
-        "px_std": px_std,
-        "zero_ratio": zero_ratio,
-        "px_p25": px_p25,
-        "px_p50": px_p50,
-        "px_p75": px_p75,
-    }
-    out = batch
-    for k, v in cols.items():
-        out = out.append_column(k, pa.array(v))
-    out = out.append_column("ts", pa.Array.from_pandas(ts, type=pa.timestamp("us")))
-    return out
-
-
 def extract_meta_light(batch: pa.Table) -> pa.Table:
     """Header-only metadata extraction — parses the EXIF-analogue header
-    WITHOUT decompressing pixels (the cheap pass used by the skew census and
-    the capture branch, where pixels are decoded later inside map_groups)."""
+    WITHOUT decompressing pixels (used by the main pass and the skew census;
+    the flagship's decode stage decodes the pixels later, once)."""
     ids = batch.column("image_id").to_pylist()
     blobs = batch.column("bytes").to_pylist()
     n = len(ids)

@@ -33,7 +33,7 @@ ENRICHED_TYPES: dict[str, pa.DataType] = {
     # input table (BASELINE.json input_hint), bytes dropped before the write
     "image_id": _STR, "w": _I32, "h": _I32, "fmt": _STR,
     "caption": _STR, "phash": _I64,
-    # extract_meta(_light)
+    # extract_meta_light
     "decode_ok": _BOOL, "file_class": _STR, "capture_id": _STR, "band": _I32,
     "has_gps": _BOOL, "lat": _F64, "lon": _F64, "alt_m": _F64,
     "camera": _STR, "ts_raw": _STR, "ts": pa.timestamp("us"),
@@ -49,7 +49,7 @@ ENRICHED_TYPES: dict[str, pa.DataType] = {
     "elevation_m": _F64, "elevation_src": _STR,
     "weather_station_id": _STR, "weather_dist_m": _F64, "weather_date": _STR,
     "tmin_c": _F32, "tmax_c": _F32, "precip_mm": _F32, "wind_kmh": _F32,
-    # decode stats (A4) + integrity
+    # decode stats (A4) + integrity: the flagship decode stage
     "px_min": _I32, "px_max": _I32, "px_mean": _F64, "px_std": _F64,
     "zero_ratio": _F64, "phash_ok": _BOOL,
     "px_p25": _F64, "px_p50": _F64, "px_p75": _F64,
