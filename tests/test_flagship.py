@@ -11,6 +11,7 @@ import pandas as pd
 import pyarrow.parquet as pq
 import pytest
 
+import reference_forms as ref
 from tiff_enrichment_pipeline_ray.functions import codec
 from tiff_enrichment_pipeline_ray.functions.geo import haversine_m
 from tiff_enrichment_pipeline_ray.pipelines import flagship
@@ -272,7 +273,7 @@ class TestAccounting:
         for r in Manifest(out).records():
             assert r["config_hash"] == cfg.config_hash()
             assert r["engine_version"] == __version__
-        other = PipelineConfig(validate=False)
+        other = PipelineConfig(partition_row_budget=1)
         assert other.config_hash() != cfg.config_hash()
         assert PipelineConfig().config_hash() == cfg.config_hash()
 
@@ -455,17 +456,13 @@ class TestEnrichmentParity:
             assert row.elevation_src == "usgs_3dep"
 
     def test_cells_nonnull_and_consistent(self, sample):
-        from tiff_enrichment_pipeline_ray.functions.cells import (
-            hex7_cell,
-            hex7_parent,
-            s2_cell,
-        )
+        from tiff_enrichment_pipeline_ray.functions.cells import s2_cell
 
         assert (sample.h3_r5 >= 0).all() and (sample.s2_cell != -1).all()
         lat = sample.lat.to_numpy()
         lon = sample.lon.to_numpy()
-        assert (sample.h3_r9.to_numpy() == hex7_cell(lat, lon, 9)).all()
-        assert (hex7_parent(sample.h3_r6.to_numpy())
+        assert (sample.h3_r9.to_numpy() == ref.hex7_cell(lat, lon, 9)).all()
+        assert (ref.hex7_parent(sample.h3_r6.to_numpy())
                 == sample.h3_r5.to_numpy()).all()
         assert (sample.s2_cell.to_numpy() == s2_cell(lat, lon, 16)).all()
 
@@ -512,8 +509,8 @@ def _reference_stack(cols, idx):
     processor.py:300-399 runs them: align each band onto band 3's grid
     (``affine_bilinear_resample``; the bands stack as-is without GPS or
     with a non-finite pixel size, resampled only when the shape differs),
-    clip → uint16, ``indices.calibrate`` → float32. ``idx`` = the five
-    band rows sorted by band; None when a band does not decode."""
+    clip → uint16, ``reference_forms.calibrate`` → float32. ``idx`` = the
+    five band rows sorted by band; None when a band does not decode."""
     from tiff_enrichment_pipeline_ray.functions import indices as I
     from tiff_enrichment_pipeline_ray.functions.raster import (
         affine_bilinear_resample)
@@ -541,7 +538,7 @@ def _reference_stack(cols, idx):
                   ("west", "north", "px_deg", "py_deg")), H, W)
         bands.append(band)
     aligned = np.clip(np.stack(bands), 0, 65535).astype(np.uint16)
-    return I.calibrate(aligned.astype(np.float32)).astype(np.float32)
+    return ref.calibrate(aligned.astype(np.float32)).astype(np.float32)
 
 
 def _reference_row(cid, cols, idx, names):
@@ -685,7 +682,7 @@ class TestCaptures:
             from tiff_enrichment_pipeline_ray.functions import indices as I
 
             stack = np.stack([bands[b] for b in (1, 2, 3, 4, 5)])
-            calib = I.calibrate(np.clip(stack, 0, 65535).astype("uint16").astype("float32"))
+            calib = ref.calibrate(np.clip(stack, 0, 65535).astype("uint16").astype("float32"))
             ndvi = I.ndvi(calib[3].astype("float32"), calib[2].astype("float32"))
             want = I.quantize_index(ndvi)
             got = codec.decode_pixels_only(cap.index_ndvi)
@@ -966,41 +963,6 @@ class TestLayerBroadcast:
                            capture_output=True, text=True, timeout=300)
         assert r.returncode == 0 and r.stdout.strip().endswith("OK"), \
             r.stderr[-2000:]
-
-
-class TestExports:
-    """K2/K3/K7 report sinks over a flagship output (pipelines/export.py —
-    reference main.py:386-388,525-535, scripts/extract_gps_to_csv_json.py)."""
-
-    def test_metadata_json_roundtrip(self, flag_out, enriched_df, tmp_path):
-        import glob
-        import json
-
-        from tiff_enrichment_pipeline_ray.pipelines import export
-
-        out, _ = flag_out
-        d = export.export_metadata_json(out, str(tmp_path / "meta_json"))
-        rows = []
-        for f in glob.glob(f"{d}/*.json"):
-            with open(f) as fh:
-                rows.extend(json.loads(line) for line in fh if line.strip())
-        assert len(rows) == len(enriched_df)
-        got = {r["image_id"] for r in rows}
-        assert got == set(enriched_df.image_id)
-        assert "issues" not in rows[0] and "lat" in rows[0]
-
-    def test_gps_csv_only_gps_rows(self, flag_out, enriched_df, tmp_path):
-        import glob
-
-        import pandas as pd
-
-        from tiff_enrichment_pipeline_ray.pipelines import export
-
-        out, _ = flag_out
-        d = export.export_gps_csv(out, str(tmp_path / "gps_csv"))
-        df = pd.concat([pd.read_csv(f) for f in glob.glob(f"{d}/*.csv")])
-        assert len(df) == int(enriched_df.has_gps.sum())
-        assert set(df.columns) == {"image_id", "lat", "lon", "alt_m"}
 
 
 class TestStorageContract:

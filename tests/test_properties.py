@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from tiff_enrichment_pipeline_ray.functions import bloom as bf
 from tiff_enrichment_pipeline_ray.functions import hll
-from tiff_enrichment_pipeline_ray.functions.cells import (
-    grid_cell_xy, hex7_cell, hex7_parent, s2_cell, s2_parent)
+from reference_forms import hex7_cell, hex7_parent, s2_parent
+from tiff_enrichment_pipeline_ray.functions.cells import grid_cell_xy, s2_cell
 from tiff_enrichment_pipeline_ray.functions.geo import haversine_m
 
 int64s = st.integers(min_value=-(2**62), max_value=2**62)

@@ -2226,3 +2226,58 @@ def test_scan_op_exchange_shape(gate, name, monkeypatch):
     _entry, _con, sf_dir = gate
     assert _exchange_calls(monkeypatch, name, sf_dir) \
         == _SCAN_OP_EXCHANGES[name]
+
+
+@pytest.fixture(scope="module")
+def empty_sf(gate, tmp_path_factory):
+    """The gate's sf with zero-row ``events`` and ``documents`` (same
+    schemas; an empty parquet file's one row group has no min/max
+    statistics) and every other table linked in unchanged."""
+    import pyarrow.parquet as pq
+
+    _entry, _con, src = gate
+    d = tmp_path_factory.mktemp("empty_sf")
+    for f in sorted(os.listdir(src)):
+        if f in ("events.parquet", "documents.parquet"):
+            pq.write_table(pq.read_table(os.path.join(src, f)).slice(0, 0),
+                           str(d / f))
+        else:
+            os.symlink(os.path.join(src, f), d / f)
+    return str(d)
+
+
+def test_scan_helpers_on_empty_input(empty_sf):
+    """The footer reader skips row groups without statistics, and phase 1
+    of the ordered scan over no rows keeps its key and spec columns."""
+    import ray.data as rd
+
+    from tiff_enrichment_pipeline_ray.pipelines import queries as Q
+
+    assert Q._pq_colminmax(os.path.join(empty_sf, "events.parquet"),
+                           "value") == (None, None)
+    empty = rd.from_pandas(Q._no_rows(bk=np.int64, v=np.float64))
+    parts, offsets = Q._bucket_offsets(empty, "bk", ("mx", "v", "max"),
+                                       scan=np.maximum.accumulate,
+                                       init=-np.inf)
+    assert offsets == {} and len(parts) == 0
+    assert dict(parts.dtypes) == {"bk": np.int64, "mx": np.float64}
+
+
+@pytest.mark.parametrize("name", sorted(_SCAN_OP_EXCHANGES))
+def test_scan_op_empty_input_matches_oracle(gate, empty_sf, name):
+    """Each ordered-scan operator returns the oracle's zero rows, with the
+    columns and dtypes it returns on real input, instead of raising."""
+    import duckdb
+
+    from tools.minidriver import compare, to_pandas
+
+    entrymod, _con, _sf_dir = gate
+    con = duckdb.connect()
+    for t in ("events", "documents"):
+        con.sql(f"CREATE VIEW {t} AS SELECT * FROM "
+                f"read_parquet('{empty_sf}/{t}.parquet')")
+    ray_df = to_pandas(entrymod.queries()[name](empty_sf))
+    sql_df = con.sql(entrymod.oracle_sql()[name]).df()
+    assert len(sql_df) == 0
+    err = compare(name, ray_df, sql_df, exact=True)
+    assert err is None, err

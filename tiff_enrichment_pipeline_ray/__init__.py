@@ -10,8 +10,10 @@ land-cover), re-expressed Ray-Data-first:
 - per-record transforms are vectorized ``map_batches`` stages
   (``batch_format="pyarrow"`` / numpy kernels);
 - stateful enrichment (STRtree land-cover join, elevation tile sampling,
-  per-cell kNN weather-station matching) runs in actor pools whose indexes are
-  built once per actor from ``ray.put`` broadcast layers;
+  per-cell kNN weather-station matching) runs in one plain task,
+  ``stages.enrich.enrich_batch_cached``, fused into the map chain; its
+  indexes are built once per worker process from ``ray.put`` broadcast
+  layers and cached there;
 - wide steps (capture-set assembly, dedup, per-cell census) are
   ``groupby``/``map_groups`` shuffles with explicit skew salting;
 - output is partitioned parquet plus a checkpoint manifest with per-partition

@@ -1,6 +1,8 @@
 """CLI entry point — mirrors the reference's sub-pipeline flags
 (reference: main.py:571-596 — --detect-only / --micasense-only /
---health-check-only) on the Ray engine.
+--health-check-only) on the Ray engine: ``detect`` is the classify-only
+path, ``run --skip-captures`` the regular-TIFF branch, ``health`` the
+health gate.
 
     python -m tiff_enrichment_pipeline_ray run --input DIR --output DIR
     python -m tiff_enrichment_pipeline_ray detect --input DIR
@@ -46,7 +48,7 @@ def cmd_run(args):
         args.input, args.output, cfg=cfg,
         checkpoint_partitions=args.checkpoint_partitions,
         resume=not args.no_resume,
-        with_captures=not args.detect_only and not args.skip_captures)
+        with_captures=not args.skip_captures)
     print(json.dumps(summary))
 
 
@@ -133,7 +135,6 @@ def main(argv=None):
     pr.add_argument("--num-cpus", type=int, default=None)
     pr.add_argument("--checkpoint-partitions", type=int, default=1)
     pr.add_argument("--no-resume", action="store_true")
-    pr.add_argument("--detect-only", action="store_true")
     pr.add_argument("--skip-captures", action="store_true",
                     help="regular-TIFF branch only (no MicaSense products)")
     pr.add_argument("--indices", default=None,

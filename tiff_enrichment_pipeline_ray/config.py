@@ -8,7 +8,7 @@ the exact values the reference hardcodes (cited per field).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 # --- Geodesy (reference: processor.py:107-111) ---
 EARTH_RADIUS_M = 6371000.0
@@ -60,11 +60,13 @@ class PipelineConfig:
     """Declarative config for the flagship pipeline.
 
     Same toggle surface as the reference's ``create_default``
-    (core/config.py:16-100): per-index selection, QC on/off, partitioning
-    knobs. There are no worker-count knobs (the reference's max_workers):
+    (core/config.py:16-100): per-index selection and partitioning knobs. There are no worker-count knobs (the reference's max_workers):
     Ray Data sizes the one fused task stage to the cluster. There are no
     per-layer enrichment or caption toggles either: every run joins all
-    three layers and keeps the caption (BASELINE.json per-row invariant).
+    three layers and keeps the caption (BASELINE.json per-row invariant),
+    and every run validates. There is no file loader: callers build the
+    config in code, and the constructor rejects an unknown key with
+    ``TypeError``.
     """
 
     # vegetation index toggles (all on by default, like main.py:141-150)
@@ -77,8 +79,6 @@ class PipelineConfig:
     # skew / partitioning
     partition_row_budget: int = DEFAULT_PARTITION_ROW_BUDGET
     cell_partition_res: int = 5  # coarse hex res used as the output partition key
-    # validation
-    validate: bool = True
     # --- multi-node storage contract -------------------------------------
     # The flagship's side-channel parquet (orphan spill) and the
     # rename-committed output trees are written by WORKER tasks via
@@ -90,9 +90,6 @@ class PipelineConfig:
     # The enriched/captures .tmp trees CANNOT move: they commit via
     # os.replace, which requires the same filesystem as the final dir.
     side_channel_dir: str | None = None
-
-    # --- file-driven config (reference core/config.py:104-152: JSON
-    #     load/save + deep merge of user config over defaults) ---
 
     def to_dict(self) -> dict:
         from dataclasses import asdict
@@ -114,55 +111,3 @@ class PipelineConfig:
         blob = json.dumps(self.to_dict(), sort_keys=True,
                           separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
-
-    @classmethod
-    def from_dict(cls, user: dict) -> "PipelineConfig":
-        """Defaults deep-merged with ``user`` (user wins); unknown keys are
-        an error (the reference's validate_config analogue)."""
-        base = cls().to_dict()
-        merged = merge_configs(base, user)
-        unknown = set(merged) - set(base)
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        merged["indices"] = tuple(merged["indices"])
-        return cls(**merged)
-
-    @classmethod
-    def from_file(cls, path: str,
-                  overrides: dict | None = None) -> "PipelineConfig":
-        """Load JSON (reference core/config.py:104-127) or YAML (reference
-        ships config/dev/settings.yml) by extension; ``overrides`` deep-merge
-        over the file contents (file over defaults, overrides over file —
-        the reference's merge precedence)."""
-        if path.endswith((".yml", ".yaml")):
-            import yaml
-
-            with open(path) as f:
-                user = yaml.safe_load(f) or {}
-        else:
-            import json
-
-            with open(path) as f:
-                user = json.load(f)
-        if overrides:
-            user = merge_configs(user, overrides)
-        return cls.from_dict(user)
-
-    def save(self, path: str) -> str:
-        import json
-
-        with open(path, "w") as f:
-            json.dump(self.to_dict(), f, indent=2)
-        return path
-
-
-def merge_configs(base: dict, user: dict) -> dict:
-    """Deep merge: nested dicts merge key-wise, user values win (exact
-    reference semantics, core/config.py:140-152)."""
-    out = dict(base)
-    for k, v in user.items():
-        if k in out and isinstance(out[k], dict) and isinstance(v, dict):
-            out[k] = merge_configs(out[k], v)
-        else:
-            out[k] = v
-    return out

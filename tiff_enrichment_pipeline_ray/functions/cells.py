@@ -108,9 +108,9 @@ def s2_cell(lat_deg, lon_deg, level=16):
 
     Layout (like s2geometry): bits 61-63 face, then 2·30 position bits of the
     leaf Hilbert position with everything below the level marker zeroed, and
-    a single 1 bit at position 2·(30-level) ("lsb marker"). Parent/child:
-    ``s2_parent(id, level-1)`` zeroes two more bits and moves the marker —
-    prefix-hierarchical by construction.
+    a single 1 bit at position 2·(30-level) ("lsb marker"). The level-1
+    parent zeroes two more bits and moves the marker — prefix-hierarchical
+    by construction.
     """
     if not (0 <= level <= _S2_MAX_LEVEL):
         raise ValueError("level must be in 0..30")
@@ -132,17 +132,6 @@ def s2_cell(lat_deg, lon_deg, level=16):
         pos = (d << 1)
         return (face << 61) | pos | marker
     del lsb
-    return (face << 61) | (pos << 1) | marker
-
-
-def s2_parent(cell_id, parent_level):
-    """Digit-truncation parent of an s2_cell id (same layout)."""
-    cell_id = np.asarray(cell_id, dtype=np.int64)
-    face = cell_id >> 61
-    pos = (cell_id & ((np.int64(1) << 61) - 1)) >> 1
-    lsb_shift = 2 * (_S2_MAX_LEVEL - parent_level)
-    pos = (pos >> lsb_shift) << lsb_shift
-    marker = np.int64(1) << lsb_shift
     return (face << 61) | (pos << 1) | marker
 
 
@@ -249,22 +238,6 @@ def hex7_digits(lat_deg, lon_deg):
     return face, digits
 
 
-def hex7_cell(lat_deg, lon_deg, res=9):
-    """Vectorized hex7 cell id at ``res`` (0..9). int64.
-
-    Layout: bits 56-59 res, 48-53 face, low 3·(12−(9−res)) bits = GBT digits
-    (finest digit in the lowest 3 bits). ``hex7_parent`` = drop 3 low bits.
-    """
-    if not (0 <= res <= _HEX7_FINEST):
-        raise ValueError("res must be 0..9")
-    face, digits = hex7_digits(lat_deg, lon_deg)
-    drop = _HEX7_FINEST - res
-    packed = np.zeros_like(face)
-    for k in range(_HEX7_NDIGITS - 1, drop - 1, -1):
-        packed = (packed << 3) | digits[:, k]
-    return (np.int64(res) << 56) | (face << 48) | packed
-
-
 def hex7_cells_multi(lat_deg, lon_deg, res_list=(5, 6, 7, 8, 9)):
     """All requested resolutions from ONE digit extraction (shared work)."""
     face, digits = hex7_digits(lat_deg, lon_deg)
@@ -276,15 +249,6 @@ def hex7_cells_multi(lat_deg, lon_deg, res_list=(5, 6, 7, 8, 9)):
             packed = (packed << 3) | digits[:, k]
         out[res] = (np.int64(res) << 56) | (face << 48) | packed
     return out
-
-
-def hex7_parent(cell_id):
-    """Exact digit-truncation parent (res−1)."""
-    cell_id = np.asarray(cell_id, dtype=np.int64)
-    res = cell_id >> 56
-    face = (cell_id >> 48) & 0xFF
-    packed = cell_id & ((np.int64(1) << 48) - 1)
-    return ((res - 1) << 56) | (face << 48) | (packed >> 3)
 
 
 # =====================================================================

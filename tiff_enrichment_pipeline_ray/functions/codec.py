@@ -205,11 +205,3 @@ def decode_video(blob: bytes):
     except Exception:
         return None, False
 
-
-def psnr(orig: np.ndarray, recon: np.ndarray, max_val=65535.0) -> float:
-    """PSNR in dB; inf for exact match."""
-    err = orig.astype(np.float64) - recon.astype(np.float64)
-    mse = float((err * err).mean())
-    if mse == 0:
-        return float("inf")
-    return 20.0 * np.log10(max_val) - 10.0 * np.log10(mse)

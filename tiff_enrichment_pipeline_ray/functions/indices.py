@@ -98,12 +98,6 @@ def quantize_index(x):
     return y.astype("uint16")
 
 
-def calibrate(dn_float32):
-    """Radiometric calibration: ×10000, clip [0,65535] → uint16
-    (processor.py:381-385)."""
-    return np.clip(dn_float32.astype("float32") * 10000.0, 0, 65535).astype("uint16")
-
-
 # band order within a stacked (5,H,W) capture: blue,green,red,nir,red_edge
 # (processor.py:406-411: bands 1..5 read in order)
 _INDEX_FNS = {

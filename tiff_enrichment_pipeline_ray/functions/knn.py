@@ -5,15 +5,14 @@ scripts/create-tables.sql:129-132 weather enrichment schema; the distance
 metric is the haversine the reference uses at validation.py:85-99 and wraps in
 SQL at init-db.sql:157-170).
 
-Two interchangeable, result-identical implementations (tested equal):
-
-- ``BruteKNN``: full distance matrix per batch — the oracle / small-layer path.
-- ``CellBucketKNN``: stations bucketed by a coarse lat/lon grid (the "per-cell
-  local BallTree" of the north_star); query expands Chebyshev rings of cells
-  until the k-th best distance provably beats the minimum possible distance of
-  the next unexplored ring. Exactness bound: any point in a cell at Chebyshev
-  ring r is ≥ (r−1)·cell_deg degrees away in lat or lon, hence
-  ≥ (r−1)·cell_deg·(πR/180)·cos_max_lat meters (haversine ≥ either component).
+``CellBucketKNN``: stations bucketed by a coarse lat/lon grid (the "per-cell
+local BallTree" of the north_star); a query expands Chebyshev rings of cells
+until the k-th best distance provably beats the minimum possible distance of
+the next unexplored ring. Exactness bound: any point in a cell at Chebyshev
+ring r is ≥ (r−1)·cell_deg degrees away in lat or lon, hence
+≥ (r−1)·cell_deg·(πR/180)·cos_max_lat meters (haversine ≥ either component).
+The tests check it equal to the full-distance-matrix ``BruteKNN`` of
+``tests/reference_forms.py``.
 
 Tie-break (SURVEY §7.4-2): order by (distance, station_id ascending) — callers
 pass stations pre-sorted by station_id so index order is the tie order.
@@ -34,27 +33,6 @@ _CELL_OFF = 1 << 20
 def _cell_key(ix, iy):
     """Collision-free positive int64 key for |ix|,|iy| < 2^20."""
     return (np.asarray(ix, dtype=np.int64) + _CELL_OFF) * (1 << 21) + (np.asarray(iy, dtype=np.int64) + _CELL_OFF)
-
-
-class BruteKNN:
-    def __init__(self, lat, lon):
-        self.lat = np.asarray(lat, dtype=np.float64)
-        self.lon = np.asarray(lon, dtype=np.float64)
-
-    def query(self, qlat, qlon, k=1):
-        """→ (idx (n,k) int64, dist (n,k) float64); idx −1 padded if < k stations."""
-        qlat = np.asarray(qlat, dtype=np.float64)
-        qlon = np.asarray(qlon, dtype=np.float64)
-        n, m = len(qlat), len(self.lat)
-        d = haversine_m(qlat[:, None], qlon[:, None], self.lat[None, :], self.lon[None, :])
-        kk = min(k, m)
-        # stable selection: ties resolved by smaller index (pre-sorted by id)
-        idx = np.argsort(d, axis=1, kind="stable")[:, :kk]
-        dist = np.take_along_axis(d, idx, axis=1)
-        if kk < k:
-            idx = np.pad(idx, ((0, 0), (0, k - kk)), constant_values=-1)
-            dist = np.pad(dist, ((0, 0), (0, k - kk)), constant_values=np.inf)
-        return idx.astype(np.int64), dist
 
 
 class CellBucketKNN:

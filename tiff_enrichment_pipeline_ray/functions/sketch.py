@@ -2,20 +2,23 @@
 
 Near-dedup primitives for the `documents` table at training-data scale
 (the reference only does exact checksum dedup — create-tables.sql:253,
-SURVEY §2.5 A7 — these extend it per the engine's charter):
+SURVEY §2.5 A7 — these extend it per the engine's charter). Every sketch
+runs over a whole batch of documents; the per-document forms the tests
+compare against live in tests/reference_forms.py.
 
-- shingle_hashes / shingle_hashes_batch: word k-shingles → uint64 hashes.
+- shingle_hashes_batch: word k-shingles → uint64 hashes.
   Word hashing is blake2b-seeded (deterministic, PYTHONHASHSEED-independent);
   the k-word combine is a vectorized polynomial in uint64 (wraparound —
   a fingerprint, not a modular family; collision prob ≈ 2^-64 per pair).
-- minhash_signature(s_batch): P independent permutations of the *exact*
+- minhash_signatures_batch: P independent permutations of the *exact*
   universal family h(x) = (a·x + b) mod p with p = 2^31 − 1 (Mersenne-31):
   a ∈ [1,p), b ∈ [0,p), x reduced mod p first, so every product fits a
-  uint64 exactly — no silent 2^64 wraparound (round-1 advice fix). The batch
-  variant evaluates ALL docs' shingles in one (Σ|sh|, P) matrix and
-  min-reduces per doc via np.minimum.reduceat — no per-doc Python loop.
-- simhash64(_batch): 64-bit sign sketch over shingle hashes, vectorized via
-  unpackbits (+ reduceat for the batch form).
+  uint64 exactly — no silent 2^64 wraparound (round-1 advice fix). It
+  evaluates ALL docs' shingles in one (Σ|sh|, P) matrix and min-reduces
+  per doc via np.minimum.reduceat — no per-doc Python loop.
+- lsh_band_keys_batch: per-band bucket keys of the MinHash signatures.
+- simhash64_batch: 64-bit sign sketch over shingle hashes, vectorized via
+  unpackbits + reduceat.
 - jaccard: exact set Jaccard for candidate verification.
 """
 
@@ -69,13 +72,6 @@ def _combine_shingles(wh: np.ndarray, k: int) -> np.ndarray:
     return np.unique(acc)
 
 
-def shingle_hashes(text: str, k: int = 3, _cache: dict | None = None) -> np.ndarray:
-    """uint64 hashes of word k-shingles (unique, sorted)."""
-    cache = _cache if _cache is not None else {}
-    words = text.split()
-    return _combine_shingles(_word_hashes(words, cache), k)
-
-
 def shingle_hashes_batch(texts, k: int = 3) -> list:
     """Shingle-hash every text with one shared word-hash cache (the
     vocabulary is far smaller than the token stream)."""
@@ -100,13 +96,6 @@ def _perm_values(sh: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     temporaries dominate; measured round 4.)"""
     x = (sh % _MERSENNE31)[:, None]
     return (x * a[None, :] + b[None, :]) % _MERSENNE31
-
-
-def minhash_signature(sh: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(n_perm,) uint64 signature; empty shingle set → all p."""
-    if len(sh) == 0:
-        return np.full(len(a), _MERSENNE31, dtype=np.uint64)
-    return _perm_values(sh, a, b).min(axis=0)
 
 
 def minhash_signatures_batch(shingle_sets: list, a: np.ndarray,
@@ -143,11 +132,6 @@ def minhash_signatures_batch(shingle_sets: list, a: np.ndarray,
     return out
 
 
-def lsh_band_keys(sig: np.ndarray, n_bands: int) -> np.ndarray:
-    """Hash each band of the signature → (n_bands,) int64 bucket keys."""
-    return lsh_band_keys_batch(sig[None, :], n_bands)[0]
-
-
 def lsh_band_keys_batch(sigs: np.ndarray, n_bands: int) -> np.ndarray:
     """(n_docs, n_bands) int64 LSH bucket keys: each band's rows are mixed
     with the polynomial+finalizer combine (vectorized; band index is salted
@@ -164,11 +148,6 @@ def lsh_band_keys_batch(sigs: np.ndarray, n_bands: int) -> np.ndarray:
     acc *= np.uint64(0xBF58476D1CE4E5B9)
     acc ^= acc >> np.uint64(27)
     return (acc >> np.uint64(1)).astype(np.int64)
-
-
-def simhash64(sh: np.ndarray) -> np.int64:
-    """64-bit sign sketch of the shingle-hash multiset (sign-safe 63 bits)."""
-    return simhash64_batch([sh])[0]
 
 
 def simhash64_batch(shingle_sets: list) -> np.ndarray:
@@ -189,18 +168,6 @@ def simhash64_batch(shingle_sets: list) -> np.ndarray:
     words = (score > 0).astype(np.uint64) @ (np.uint64(1) << np.arange(64, dtype=np.uint64))
     out[nz] = (words >> np.uint64(1)).astype(np.int64)  # keep sign-safe 63 bits
     return out
-
-
-def hamming64(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    x = (np.asarray(a, dtype=np.int64) ^ np.asarray(b, dtype=np.int64)).astype(np.uint64)
-    cnt = np.zeros(x.shape, dtype=np.int64)
-    while True:
-        nz = x != 0
-        if not nz.any():
-            break
-        cnt[nz] += 1
-        x = x & (x - np.uint64(1))
-    return cnt
 
 
 def jaccard(a: np.ndarray, b: np.ndarray) -> float:

@@ -4,9 +4,9 @@ micasense/output/visualizer.py + processor.py:579-598 histograms).
 matplotlib/PIL are not in this environment, so both halves are implemented
 from the public specs:
 
-- ``encode_png`` / ``decode_png``: minimal RFC-2083 PNG writer/reader for
-  8-bit grayscale and RGB (filter 0 scanlines, one zlib IDAT). Decoder
-  exists for tests.
+- ``encode_png``: minimal RFC-2083 PNG writer for 8-bit grayscale and RGB
+  (filter 0 scanlines, one zlib IDAT); the tests' decoder is
+  ``tests/reference_forms.decode_png``.
 - Colormap ramps replicating ``LinearSegmentedColormap.from_list(...,
   N=256)`` (visualizer.py:32-41): evenly-spaced color stops, linear RGB
   interpolation, LUT index = round(norm * 255). Stop colors are the
@@ -60,35 +60,6 @@ def encode_png(arr: np.ndarray, level: int = 6) -> bytes:
     return (_PNG_SIG + _chunk(b"IHDR", ihdr)
             + _chunk(b"IDAT", zlib.compress(lines.tobytes(), level))
             + _chunk(b"IEND", b""))
-
-
-def decode_png(data: bytes):
-    """PNG bytes (as written by encode_png) → uint8 array. Test helper."""
-    if data[:8] != _PNG_SIG:
-        raise ValueError("not a PNG")
-    pos, idat, meta = 8, b"", None
-    while pos < len(data):
-        (ln,) = struct.unpack_from(">I", data, pos)
-        tag = data[pos + 4:pos + 8]
-        payload = data[pos + 8:pos + 8 + ln]
-        if tag == b"IHDR":
-            w, h, depth, ctype = struct.unpack_from(">IIBB", payload, 0)
-            if depth != 8 or ctype not in (0, 2):
-                raise ValueError("decoder only handles 8-bit gray/RGB")
-            meta = (w, h, ctype)
-        elif tag == b"IDAT":
-            idat += payload
-        elif tag == b"IEND":
-            break
-        pos += 12 + ln
-    w, h, ctype = meta
-    nch = 3 if ctype == 2 else 1
-    lines = np.frombuffer(zlib.decompress(idat),
-                          dtype=np.uint8).reshape(h, 1 + w * nch)
-    if (lines[:, 0] != 0).any():
-        raise ValueError("decoder only handles filter-0 scanlines")
-    px = lines[:, 1:]
-    return px.reshape(h, w, 3) if nch == 3 else px.reshape(h, w)
 
 
 # ------------------------------------------------------------- colormaps

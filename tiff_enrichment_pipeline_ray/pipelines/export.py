@@ -1,73 +1,20 @@
-"""Report sinks: CSV/JSON exports of the enriched table (K2/K3/K7).
+"""Dataset builders behind the rendered and re-encoded outputs (K5, K5b).
 
-Reference writers re-expressed as Dataset sinks:
-- K7 GPS CSV/JSON (scripts/extract_gps_to_csv_json.py:22-57)
-- K3 validation report JSON+CSV (main.py:525-535)
-- K2 per-record metadata JSON (main.py:386-388) — metadata lives as columns,
-  exported with ``write_json``.
+Each function returns a lazy ``ray.data.Dataset`` that a registered query
+in pipelines/queries.py runs: ``thumbnails``, ``index_visualizations``,
+``band_histograms`` and ``location_map``. A file export is one Ray
+``write_*`` call on that query's Dataset (e.g. ``write_parquet`` of
+``thumbnails_dataset``); the reference's per-file
+``<capture_id>_<INDEX>_vis.png`` layout (visualizer.py:131-137) is not
+reproduced.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 
-def export_gps_csv(out_dir: str, export_dir: str):
-    """K7: image_id/lat/lon/alt CSV part files from a flagship output dir."""
-    import pandas as pd
-
-    from . import flagship
-
-    ds = flagship.read_enriched(out_dir).select_columns(
-        ["image_id", "has_gps", "lat", "lon", "alt_m"])
-
-    def rnd(df: pd.DataFrame) -> pd.DataFrame:
-        df = df[df.has_gps].copy()
-        for c in ("lat", "lon", "alt_m"):
-            df[c] = df[c].round(8)
-        return df.drop(columns=["has_gps"])
-
-    ds.map_batches(rnd, batch_format="pandas").write_csv(export_dir)
-    return export_dir
-
-
-def export_validation_report(out_dir: str, export_dir: str, fmt: str = "csv"):
-    """K3: per-image issues report as CSV or JSON part files."""
-    import pandas as pd
-
-    from . import flagship
-
-    ds = flagship.read_enriched(out_dir).select_columns(
-        ["image_id", "valid", "issues"])
-
-    def f(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({
-            "image_id": df.image_id,
-            "valid": df.valid,
-            "issues": df.issues.map(lambda l: ";".join(list(l))),
-        })
-
-    ds = ds.map_batches(f, batch_format="pandas")
-    if fmt == "json":
-        ds.write_json(export_dir)
-    else:
-        ds.write_csv(export_dir)
-    return export_dir
-
-
-def export_metadata_json(out_dir: str, export_dir: str):
-    """K2: full per-image metadata rows as JSON part files."""
-    from . import flagship
-
-    ds = flagship.read_enriched(out_dir).drop_columns(["issues"])
-    ds.write_json(export_dir)
-    return export_dir
-
-
-def thumbnails_dataset(input_dir: str, size: int = 32,
-                       concurrency: int | None = None, batch_size: int = 128):
+def thumbnails_dataset(input_dir: str, size: int = 32, batch_size: int = 128):
     """K5 thumbnail stage (output/visualizer.py:43-153 analogue): every
     image decoded, bilinear-downsampled to ``size``×``size`` and re-encoded
     lossless through the native codec — an actor-pool map_batches (decode
@@ -80,29 +27,16 @@ def thumbnails_dataset(input_dir: str, size: int = 32,
 
     from ..stages.multimodal import ImageResize
 
-    if concurrency is None:
-        cpus = int(ray.cluster_resources().get("CPU", 4))
-        concurrency = max(1, cpus - 2)
+    cpus = int(ray.cluster_resources().get("CPU", 4))
     ds = rd.read_parquet(input_dir, columns=["image_id", "bytes"])
     return ds.map_batches(
         ImageResize,
         fn_constructor_kwargs={"target_h": size, "target_w": size},
         batch_format="pandas",
         batch_size=batch_size,
-        concurrency=concurrency,
+        concurrency=max(1, cpus - 2),
         num_cpus=1,
     )
-
-
-def export_thumbnails(input_dir: str, export_dir: str, size: int = 32,
-                      concurrency: int | None = None):
-    """K5: write the thumbnail blobs as partitioned parquet (one file per
-    block — resumable by re-running; the thumbnail of an image is
-    deterministic)."""
-    os.makedirs(export_dir, exist_ok=True)
-    thumbnails_dataset(input_dir, size=size,
-                       concurrency=concurrency).write_parquet(export_dir)
-    return export_dir
 
 
 def index_visualizations_dataset(flag_dir: str, batch_size: int = 64):
@@ -178,29 +112,6 @@ def band_histograms_dataset(input_dir: str, batch_size: int = 128):
 
     return ds.map_batches(render, batch_format="pandas",
                           batch_size=batch_size)
-
-
-def export_visualizations(flag_dir: str, export_dir: str):
-    """Write <capture_id>_<INDEX>_vis.png files (the reference's
-    visualizations/ directory layout, visualizer.py:131-137) plus a stats
-    parquet next to them. Idempotent: file content is deterministic."""
-    import pandas as pd
-
-    vis_dir = os.path.join(export_dir, "visualizations")
-    os.makedirs(vis_dir, exist_ok=True)
-    ds = index_visualizations_dataset(flag_dir)
-
-    def write(df: pd.DataFrame) -> pd.DataFrame:
-        for _, r in df.iterrows():
-            p = os.path.join(vis_dir,
-                             f"{r.capture_id}_{r.index_name.upper()}_vis.png")
-            with open(p, "w+b") as f:
-                f.write(r.png)
-        return df.drop(columns=["png"])
-
-    ds.map_batches(write, batch_format="pandas") \
-        .write_parquet(os.path.join(export_dir, "vis_stats"))
-    return export_dir
 
 
 def location_map_dataset(flag_dir: str, size: tuple = (800, 800)):

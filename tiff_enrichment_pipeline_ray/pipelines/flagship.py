@@ -169,7 +169,7 @@ def tune_data_context():
 MAP_ROWS_PER_BLOCK = 2048
 
 
-def _fused_read(files, rows_per_block: int, cpus: int, est_rows: int):
+def _fused_read(files, rows_per_block: int):
     """Read the images parquet INSIDE the map-chain tasks instead of as a
     separate ReadParquet operator.
 
@@ -185,21 +185,14 @@ def _fused_read(files, rows_per_block: int, cpus: int, est_rows: int):
     the object store — only post-decode slim rows do. On a multi-node
     cluster the same holds: each task reads its fragment straight from
     shared storage; the network carries enriched rows, not payloads.
-
-    Falls back to plain ``read_parquet`` if fragment metadata is unreadable
-    (non-parquet inputs in tests).
     """
     import ray.data as rd
 
-    try:
-        items = []
-        for f in files:
-            md = pq.read_metadata(f)
-            for rg in range(md.num_row_groups):
-                items.append({"path": f, "rg": rg})
-    except Exception:
-        nblocks = max(4 * cpus, est_rows // rows_per_block)
-        return rd.read_parquet(files, override_num_blocks=nblocks)
+    items = []
+    for f in files:
+        md = pq.read_metadata(f)
+        for rg in range(md.num_row_groups):
+            items.append({"path": f, "rg": rg})
     if not items:
         return rd.read_parquet(files)
 
@@ -229,17 +222,9 @@ def enriched_dataset(files, cfg: PipelineConfig, layer_kwargs: dict,
     ``ray.put`` and built once per worker process by ``enrich_batch_cached``,
     a plain task that fuses with the whole stateless chain into one task per
     block, elastic across all CPUs."""
-    import ray
-
     # block sizing: MAP_ROWS_PER_BLOCK rows per block (data-sized,
-    # cluster-independent); the plain-read fallback floors it at 4
-    # blocks/CPU for small inputs
-    cpus = int(ray.cluster_resources().get("CPU", 8))
-    try:
-        est_rows = sum(pq.read_metadata(f).num_rows for f in files)
-    except Exception:
-        est_rows = 0
-    ds = _fused_read(files, MAP_ROWS_PER_BLOCK, cpus, est_rows)
+    # cluster-independent)
+    ds = _fused_read(files, MAP_ROWS_PER_BLOCK)
     ds = ds.map_batches(extract_meta_light, batch_format="pyarrow", batch_size=None)
     ds = ds.map_batches(georef, batch_format="pyarrow", batch_size=None)
     ds = ds.map_batches(assign_cells, batch_format="pyarrow", batch_size=None)
@@ -256,9 +241,7 @@ def enriched_dataset(files, cfg: PipelineConfig, layer_kwargs: dict,
                                          ndvi_variant=cfg.ndvi_variant,
                                          index_names=cfg.indices),
         batch_format="pyarrow", batch_size=None)
-    if cfg.validate:
-        ds = ds.map_batches(validate, batch_format="pyarrow", batch_size=None)
-    return ds
+    return ds.map_batches(validate, batch_format="pyarrow", batch_size=None)
 
 
 def _pixel_stats(px: np.ndarray) -> tuple:

@@ -15,9 +15,9 @@ Float discipline (so Ray and DuckDB hash-match bit-for-bit):
 - geo-derived queries use integer-only or expression-identical arithmetic
   (documented per query) so values match exactly without rounding.
 
-Aggregations follow the partial-aggregate pattern (ray_guide): per-batch
-pandas combine inside map_batches, then a small groupby over the partials —
-the shuffle moves one row per (key × batch), not one per input row.
+Keyed aggregates use ``_preagg``: a per-block arrow partial inside
+map_batches, then a small groupby over the partials — the shuffle moves one
+row per (key × block), not one per input row.
 """
 
 from __future__ import annotations
@@ -126,7 +126,9 @@ def _pq_colminmax(path: str, col: str) -> tuple:
     """Metadata-only (min, max) of a column across a parquet file or
     directory — row-group footer statistics, no Ray job, no data read.
     Returns the raw statistics (int, float or datetime, by column type);
-    callers cast. Sizes ORDERED range-buckets for the ordered scans."""
+    callers cast. Sizes ORDERED range-buckets for the ordered scans. Row
+    groups without min/max (an empty file's one row group has none) are
+    skipped; (None, None) when no row group has any."""
     import pyarrow.parquet as pq
 
     lo, hi = None, None
@@ -135,6 +137,8 @@ def _pq_colminmax(path: str, col: str) -> tuple:
         idx = {md.schema.column(i).name: i for i in range(md.num_columns)}[col]
         for rg in range(md.num_row_groups):
             st = md.row_group(rg).column(idx).statistics
+            if st is None or not st.has_min_max:
+                continue
             lo = st.min if lo is None else min(lo, st.min)
             hi = st.max if hi is None else max(hi, st.max)
     return lo, hi
@@ -151,13 +155,23 @@ def _bucket_offsets(slim, key: str, spec: tuple, scan=np.cumsum, init=0):
 
     Returns (partials sorted by bucket, {bucket: exclusive offset}). Phase 2
     is the caller's ``groupby(key).map_groups``: sort inside the bucket and
-    apply its offset."""
+    apply its offset. An empty ``slim`` gives a zero-row partial frame that
+    still has the ``key`` and ``spec`` columns, and no offsets."""
     parts = _preagg(slim, [key], [spec]).to_pandas()
+    if parts.empty:
+        parts = pd.DataFrame({key: np.empty(0, np.int64),
+                              spec[0]: np.empty(0, np.result_type(init))})
     parts = parts.sort_values(key).reset_index(drop=True)
     acc = scan(parts[spec[0]].to_numpy(np.result_type(init)))
     offsets = dict(zip(parts[key].to_numpy(np.int64).tolist(),
                        np.concatenate([[init], acc[:-1]]).tolist()))
     return parts, offsets
+
+
+def _no_rows(**dtypes) -> pd.DataFrame:
+    """The zero-row result of an operator over an empty input: its columns
+    and dtypes, where a groupby over no rows would return no schema."""
+    return pd.DataFrame({c: np.empty(0, t) for c, t in dtypes.items()})
 
 
 def _nbuckets(n_rows: int, rows_per_bucket: int = 4096, lo: int = 64) -> int:
@@ -443,15 +457,11 @@ def q5_regional_revenue(sf_dir: str):
 
     def to_nation(df: pd.DataFrame) -> pd.DataFrame:
         df = df[df.supp_nation == df.cust_nation]
-        out = pd.DataFrame({"n_name": df.supp_nation.map(nmap),
-                            "revenue": df.revenue})
-        return out.groupby("n_name", as_index=False, sort=False).sum()
+        return pd.DataFrame({"n_name": df.supp_nation.map(nmap),
+                             "revenue": df.revenue})
 
-    from ray.data.aggregate import Sum
-
-    agg = (joined.map_batches(to_nation, batch_format="pandas")
-           .groupby("n_name").aggregate(Sum("revenue", alias_name="revenue")))
-    df = agg.to_pandas()
+    df = _preagg(joined.map_batches(to_nation, batch_format="pandas"),
+                 ["n_name"], [("revenue", "revenue", "sum")]).to_pandas()
     df["revenue"] = df["revenue"].round(4)
     return df
 
@@ -1856,7 +1866,7 @@ def flagship_captures(sf_dir: str):
 
 def px_histogram(sf_dir: str):
     """Corpus-wide 256-bin pixel histogram (A5, processor.py:579-598):
-    per-batch np.histogram partials merged by a Sum aggregate — the
+    per-batch np.histogram partials merged by ``_preagg`` — the
     partial+final stats pattern of rasterio_utils.py:257-296, exact."""
     import ray.data as rd
 
@@ -1875,11 +1885,8 @@ def px_histogram(sf_dir: str):
                 counts += np.histogram(px, bins=256, range=(0, 65536))[0]
         return _pa.table({"bin": np.arange(256, dtype=np.int64), "count": counts})
 
-    from ray.data.aggregate import Sum
-
-    agg = (ds.map_batches(partial, batch_format="pyarrow")
-           .groupby("bin").aggregate(Sum("count", alias_name="count")))
-    return agg
+    return _preagg(ds.map_batches(partial, batch_format="pyarrow"),
+                   ["bin"], [("count", "count", "sum")])
 
 
 def band_stats_by_class(sf_dir: str):
@@ -1892,24 +1899,18 @@ def band_stats_by_class(sf_dir: str):
     ds = fl.read_enriched(out).select_columns(
         ["file_class", "band", "decode_ok", "px_mean", "px_std", "w", "h"])
 
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
+    def moments(df: pd.DataFrame) -> pd.DataFrame:
         df = df[df.decode_ok]
         npx = df.w.astype(float) * df.h.astype(float)
-        s = df.px_mean * npx
-        ss = (df.px_std ** 2 + df.px_mean ** 2) * npx
-        g = pd.DataFrame({"file_class": df.file_class, "band": df.band,
-                          "n_px": npx, "sum_px": s, "sumsq_px": ss}) \
-            .groupby(["file_class", "band"], as_index=False, sort=False).sum()
-        return g
+        return pd.DataFrame({"file_class": df.file_class, "band": df.band,
+                             "n_px": npx, "sum_px": df.px_mean * npx,
+                             "sumsq_px": (df.px_std ** 2 + df.px_mean ** 2)
+                             * npx})
 
-    from ray.data.aggregate import Sum
-
-    agg = (ds.map_batches(partial, batch_format="pandas")
-           .groupby(["file_class", "band"])
-           .aggregate(Sum("n_px", alias_name="n_px"),
-                      Sum("sum_px", alias_name="sum_px"),
-                      Sum("sumsq_px", alias_name="sumsq_px")))
-    df = agg.to_pandas()
+    df = _preagg(ds.map_batches(moments, batch_format="pandas"),
+                 ["file_class", "band"],
+                 [("n_px", "n_px", "sum"), ("sum_px", "sum_px", "sum"),
+                  ("sumsq_px", "sumsq_px", "sum")]).to_pandas()
     df["mean_px"] = (df.sum_px / df.n_px).round(6)
     var = df.sumsq_px / df.n_px - (df.sum_px / df.n_px) ** 2
     df["std_px"] = np.sqrt(np.clip(var, 0, None)).round(6)
@@ -1955,21 +1956,16 @@ def enriched_daily_stats(sf_dir: str):
         d = pd.to_datetime(df.ts).dt.strftime("%Y-%m-%d").fillna("unknown")
         return pd.DataFrame({
             "date": d,
-            "n": 1,
             "n_valid": df.valid.astype(int),
             "sum_elev": df.elevation_m.fillna(0.0),
             "n_elev": df.elevation_m.notna().astype(int),
         })
 
-    from ray.data.aggregate import Sum
-
-    agg = (ds.map_batches(tag, batch_format="pandas")
-           .groupby("date")
-           .aggregate(Sum("n", alias_name="n_images"),
-                      Sum("n_valid", alias_name="n_valid"),
-                      Sum("sum_elev", alias_name="sum_elev"),
-                      Sum("n_elev", alias_name="n_elev")))
-    df = agg.to_pandas()
+    df = _preagg(ds.map_batches(tag, batch_format="pandas"), ["date"],
+                 [("n_images", None, "count"),
+                  ("n_valid", "n_valid", "sum"),
+                  ("sum_elev", "sum_elev", "sum"),
+                  ("n_elev", "n_elev", "sum")]).to_pandas()
     df["mean_elevation"] = (df.sum_elev / df.n_elev.clip(lower=1)).round(4)
     return df.drop(columns=["sum_elev"])
 
@@ -2056,7 +2052,7 @@ def thumbnails(sf_dir: str):
     """K5 thumbnails (output/visualizer.py:43-153): decode → 32×32 bilinear
     downsample → lossless re-encode, as an actor-pool stage; returns id,
     dims, decode flag and thumbnail payload size (the blobs themselves are
-    written by pipelines.export.export_thumbnails)."""
+    one ``write_parquet`` of ``export.thumbnails_dataset``)."""
     from .export import thumbnails_dataset
 
     img_dir = synth.ensure_images(synth.sf_from_dir(sf_dir))
@@ -5280,6 +5276,10 @@ def doc_pack_chunks(sf_dir: str, capacity: int = 512):
     materialized (doc_id, n_tokens) projection (16 B/row) so the text is
     parsed a single time. Output is integer-only."""
     docs, nd = _spread_read(sf_dir, "documents", ["doc_id", "text"])
+    if nd == 0:
+        return _no_rows(doc_id=np.int64, n_tokens=np.int64,
+                        first_chunk=np.int64, last_chunk=np.int64,
+                        n_chunks=np.int64)
     nbk = _nbuckets(nd, rows_per_bucket=4096, lo=16)
     lo_id, hi_id = map(int, _pq_colminmax(testdata_path(sf_dir, "documents"),
                                           "doc_id"))
@@ -6095,10 +6095,12 @@ def events_global_rank(sf_dir: str):
     skew on pathological distributions — the fix at 100 TB is sampled
     quantile bounds feeding the same two phases; the exchange count does
     not change."""
+    ev, ne = _spread_read(sf_dir, "events", ["event_id", "value"])
+    if ne == 0:
+        return _no_rows(event_id=np.int64, value=np.float64, rnk=np.int64,
+                        pct=np.float64)
     lo, hi = map(float, _pq_colminmax(testdata_path(sf_dir, "events"),
                                       "value"))
-
-    ev, ne = _spread_read(sf_dir, "events", ["event_id", "value"])
     nbk = _nbuckets(ne, rows_per_bucket=8192, lo=32)
     width = max((hi - lo) / nbk, 1e-300)
 
@@ -6632,6 +6634,10 @@ def geo_zorder_layout(sf_dir: str, nfiles: int = 64):
     correctness; the 100-TB fix is sampled quantile bucket bounds, same two
     phases."""
     ev, ne = _spread_read(sf_dir, "events", ["event_id"])
+    if ne == 0:
+        return _no_rows(file_id=np.int64, n_points=np.int64,
+                        zkey_lo=np.int64, zkey_hi=np.int64,
+                        x_span=np.int64, y_span=np.int64)
     nbk = _nbuckets(ne, rows_per_bucket=8192, lo=32)
     zspace = np.int64(1) << 26
 
@@ -6805,11 +6811,12 @@ def events_record_breakers(sf_dir: str):
     offset, in-bucket running max) — and ENTIRE buckets whose max is below
     their offset are dropped before the in-bucket sort (at 100 TB most of
     the stream prunes: records get rare as the running max climbs)."""
+    ev, ne = _spread_read(sf_dir, "events", ["event_id", "ts", "value"])
+    if ne == 0:
+        return _no_rows(event_id=np.int64, value=np.float64)
     lo, hi = _pq_colminmax(testdata_path(sf_dir, "events"), "ts")
     lo_us = np.datetime64(lo, "us").astype(np.int64)
     hi_us = np.datetime64(hi, "us").astype(np.int64)
-
-    ev, ne = _spread_read(sf_dir, "events", ["event_id", "ts", "value"])
     nbk = _nbuckets(ne, rows_per_bucket=8192, lo=32)
     width = max((hi_us - lo_us) // nbk + 1, 1)
 
@@ -6905,6 +6912,8 @@ def doc_shuffle_positions(sf_dir: str, seed: int = 17):
     the modulo is exact int64 arithmetic in numpy AND DuckDB (which errors,
     not wraps, on BIGINT overflow — the guard that matters)."""
     docs, nd = _spread_read(sf_dir, "documents", ["doc_id"])
+    if nd == 0:
+        return _no_rows(doc_id=np.int64, shuffle_pos=np.int64)
     nbk = _nbuckets(nd, rows_per_bucket=8192, lo=16)
     M = np.int64(2654435761)
     S = np.int64(seed) * np.int64(40503)
@@ -6951,6 +6960,8 @@ def doc_mixture_order(sf_dir: str):
     IEEE divide of an exact int by a small exact double — bit-identical in
     numpy and DuckDB, so the order (and the integer output) is hash-exact."""
     docs, nd = _spread_read(sf_dir, "documents", ["doc_id", "source"])
+    if nd == 0:
+        return _no_rows(doc_id=np.int64, mix_pos=np.int64)
     nbk = _nbuckets(nd, rows_per_bucket=8192, lo=16)
     lo_id, hi_id = map(int, _pq_colminmax(testdata_path(sf_dir, "documents"),
                                           "doc_id"))

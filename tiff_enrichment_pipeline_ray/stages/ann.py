@@ -400,45 +400,6 @@ def embedding_near_dup_pairs(sf_dir: str, threshold: float = 0.4,
             .sort_values(["vec_a", "vec_b"]).reset_index(drop=True))
 
 
-# ------------------------------------------------ small-data (test) helper
-
-
-class IVFIndex:
-    """In-memory IVF over a small (test-fixture) array — the unit-test
-    harness for the same kernels the distributed path uses."""
-
-    def __init__(self, ids: np.ndarray, X: np.ndarray, k: int = 16,
-                 seed: int = 42):
-        X = np.asarray(X, dtype=np.float32)
-        self.centroids = kmeans_fit(X, k, seed=seed)
-        assign = _sq_dists(X, self.centroids).argmin(1)
-        self.lists = {}
-        for j in range(len(self.centroids)):
-            m = assign == j
-            self.lists[j] = (np.asarray(ids)[m], X[m])
-
-    def search(self, q: np.ndarray, topk: int = 10, nprobe: int = 4):
-        q = np.asarray(q, dtype=np.float32)
-        cd = _sq_dists(q[None, :], self.centroids)[0]
-        probe = np.argsort(cd, kind="stable")[:nprobe]
-        cand_ids, cand_sims = [], []
-        qn = np.sqrt((q * q).sum())
-        for j in probe:
-            ids, X = self.lists[int(j)]
-            if len(ids) == 0:
-                continue
-            norms = np.sqrt((X * X).sum(1))
-            sims = (X @ q) / (np.where(norms == 0, 1, norms) * (qn or 1.0))
-            cand_ids.append(ids)
-            cand_sims.append(sims)
-        if not cand_ids:
-            return np.empty(0, dtype=np.int64), np.empty(0)
-        ids = np.concatenate(cand_ids)
-        sims = np.concatenate(cand_sims)
-        order = np.lexsort((ids, -sims))[:topk]
-        return ids[order], sims[order]
-
-
 # ------------------------------------------------------- PQ scale path
 #
 # Product quantization (Jégou, Douze, Schmid — "Product Quantization for

@@ -21,7 +21,7 @@ kernel (process_bucket):
      and d ≥ 7. So steps 2-3 on an aligned float32 value v ≥ 0 equal
      min(trunc(v)·10000, 65535) in float32, which the kernel computes
      in three in-place passes over the (5, H, W) stack
-     (indices.calibrate keeps the reference form);
+     (tests/reference_forms.calibrate keeps the reference form);
   4. the selected vegetation indices (all 8 by default; PipelineConfig
      .indices) on the calibrated float32 bands with the exact
      processor.py:479-550 math, quantized (x+1)·32767.5 → uint16

@@ -3,11 +3,11 @@
 Images/audio/video travel as opaque `binary` columns with typed metadata
 (BASELINE.json input_hint). The Ray-side plumbing — schemas, actor-pool
 signatures, batch sizing, output layout — is real and tested. Decode uses the
-repo's deterministic native containers (GI01 image / GA01 audio / GV01 video,
-functions/codec.py — the documented stand-ins for TIFF/WAV/MP4, whose
-libraries aren't in this sandbox); hooks for foreign formats are import-gated
-on Pillow/soundfile and raise ``NotImplementedError`` with the documented
-contract (charter: fake the codec deterministically, keep the plumbing real).
+repo's deterministic native containers only (GI01 image / GA01 audio / GV01
+video, functions/codec.py — the documented stand-ins for TIFF/WAV/MP4, whose
+libraries aren't in this sandbox). A blob in any other container is a
+decode_ok=False row, never an exception (charter: fake the codec
+deterministically, keep the plumbing real).
 
 All stages are callable CLASSES → actor pools: state (codec tables, resize
 kernels, model weights) is built once per actor in ``__init__``
@@ -23,47 +23,24 @@ import pandas as pd
 
 from ..functions import codec
 
-try:  # pragma: no cover — not installable in this sandbox
-    from PIL import Image as _PIL_Image  # noqa: F401
-    _HAS_PIL = True
-except Exception:
-    _HAS_PIL = False
-
-
 class ImageDecode:
-    """binary `bytes` → decoded stats + optional pixel pass-through.
-
-    Native GI01 container decodes for real; foreign formats (JPEG/TIFF files)
-    need Pillow/rasterio — stubbed here (import-gated)."""
-
-    def __init__(self, keep_pixels: bool = False):
-        self.keep_pixels = keep_pixels
+    """binary `bytes` → per-image decoded stats (GI01 container)."""
 
     def __call__(self, df: pd.DataFrame) -> pd.DataFrame:
         ok, h, w, mean = [], [], [], []
-        pixels = []
         for blob in df["bytes"]:
             px, _, good = codec.decode_image(blob)
-            if not good and _HAS_PIL:  # pragma: no cover
-                raise NotImplementedError(
-                    "foreign image container: decode via PIL.Image.open "
-                    "(bytes→RGB ndarray) — gated on Pillow availability")
             ok.append(good)
             h.append(px.shape[0] if good else 0)
             w.append(px.shape[1] if good else 0)
             mean.append(float(px.mean()) if good else np.nan)
-            if self.keep_pixels:
-                pixels.append(px.tobytes() if good else b"")
-        out = pd.DataFrame({
+        return pd.DataFrame({
             "image_id": df["image_id"].to_numpy(),
             "decode_ok": np.array(ok),
             "h": np.array(h, dtype=np.int32),
             "w": np.array(w, dtype=np.int32),
             "px_mean": np.array(mean),
         })
-        if self.keep_pixels:
-            out["pixels_raw"] = pixels
-        return out
 
 
 class ImageResize:
@@ -140,21 +117,13 @@ class ImageFeatures:
         })
 
 
-try:  # pragma: no cover — not installable in this sandbox
-    import soundfile as _soundfile  # noqa: F401
-    _HAS_SOUNDFILE = True
-except Exception:
-    _HAS_SOUNDFILE = False
-
-
 class AudioDecode:
     """Audio `bytes` → per-clip decoded stats (actor-pool stage).
 
     The native GA01 container (codec.encode_audio — the deterministic WAV
     stand-in, since soundfile/librosa aren't in this sandbox) decodes for
-    real; a foreign container with soundfile present would take the gated
-    branch below. Corrupt/unknown blobs → decode_ok=False row, never raises
-    (same per-row isolation contract as the image reader).
+    real. Corrupt/unknown blobs → decode_ok=False row, never raises (same
+    per-row isolation contract as the image reader).
 
     __call__(df[audio_id, bytes]) → df[audio_id, decode_ok, sample_rate:int32,
     n_samples:int64, duration_s:float64, rms:float64]."""
@@ -167,10 +136,6 @@ class AudioDecode:
         rms = np.full(n, np.nan)
         for i, blob in enumerate(df["bytes"]):
             pcm, rate, good = codec.decode_audio(blob)
-            if not good and _HAS_SOUNDFILE:  # pragma: no cover
-                raise NotImplementedError(
-                    "foreign audio container: decode via soundfile.read "
-                    "(bytes→float pcm + rate) — gated on soundfile availability")
             ok[i] = good
             if good:
                 sr[i] = rate
