@@ -262,7 +262,8 @@ def test_line_of_sight_symmetry(vals, ai, bi):
 def test_cc_pointer_jumping_matches_union_find(ray_session, raw_edges):
     """_cc_label_prop (neighbor-min + pointer jumping + per-round lineage
     cut) computes exactly the per-component MIN label on random graphs —
-    the shared loop behind doc_dup_clusters / DBSCAN / mosaic groups."""
+    the loop behind doc_dup_clusters and image_mosaic_groups (DBSCAN's
+    domain-bounded position graph runs union-find in one task instead)."""
     import numpy as np
     import pandas as pd
     import ray.data as rd

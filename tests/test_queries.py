@@ -2162,13 +2162,13 @@ def test_gini_exact_past_int64(monkeypatch):
 # Dataset groupby/sort/repartition calls while building each operator that
 # shares the home+ghost grid exchange (_grid_copies). One grid exchange
 # each (Ray's groupby sorts once per groupby); beyond it, nearest-neighbor
-# and co-location add one `_preagg` census, bivariate Moran one
-# repartition(1) final sum, and DBSCAN three bucketed merges, one `_preagg`
-# min and the repartition(1) union-find task.
+# and co-location add one `_preagg` census, and bivariate Moran and DBSCAN
+# one repartition(1) task each (Moran's final sum; DBSCAN's union-find
+# and border minimum over positions, whose table a row-wise map reads).
 _GRID_OP_EXCHANGES = {
     "geo_getis_hotspots": {"groupby": 1, "sort": 1},
     "geo_bivariate_moran": {"groupby": 1, "sort": 1, "repartition": 1},
-    "geo_dbscan_clusters": {"groupby": 5, "sort": 5, "repartition": 1},
+    "geo_dbscan_clusters": {"groupby": 1, "sort": 1, "repartition": 1},
     "geo_ripley_k": {"groupby": 1, "sort": 1},
     "geo_nearest_neighbor_stats": {"groupby": 2, "sort": 2},
     "geo_colocation_quotient": {"groupby": 2, "sort": 2},
@@ -2244,6 +2244,18 @@ def empty_sf(gate, tmp_path_factory):
         else:
             os.symlink(os.path.join(src, f), d / f)
     return str(d)
+
+
+def test_dbscan_empty_input_typed_rows(empty_sf):
+    """DBSCAN over zero events returns its three typed columns and no
+    row, not a frame without columns."""
+    from tiff_enrichment_pipeline_ray.pipelines import queries as Q
+    from tools.minidriver import to_pandas
+
+    got = to_pandas(Q.geo_dbscan_clusters(empty_sf))
+    assert len(got) == 0
+    assert dict(got.dtypes) == {"event_id": np.int64,
+                                "cluster_id": np.int64, "is_core": bool}
 
 
 def test_scan_helpers_on_empty_input(empty_sf):

@@ -340,22 +340,28 @@ class TestDBSCAN:
                              columns=["event_id", "cluster_id", "is_core"])
                 .sort_values(["event_id"]).reset_index(drop=True))
 
-    def test_brute_force_sf0001(self, ray_session):
+    # (the defaults, then two border-heavy settings: a brute census gives
+    # 23 / 117 / 146 border and 271 / 145 / 58 core points at sf0.001)
+    @pytest.mark.parametrize("eps,min_pts", [(0.0025, 5), (0.0025, 8),
+                                             (0.0029, 12)])
+    def test_brute_force_sf0001(self, ray_session, eps, min_pts):
         import pandas as pd
         import pyarrow.parquet as pq
 
         from tiff_enrichment_pipeline_ray.pipelines import queries as Q
 
+        assert eps < Q._DBS_CELL  # every eps-neighbor is 8-adjacent
         ids = pq.read_table("/root/testdata/sf0.001/events.parquet",
                             columns=["event_id"]).column(0).to_numpy()
-        want = self._brute(np.asarray(ids, dtype=np.int64),
-                           Q._DBS_EPS, Q._DBS_MIN_PTS)
-        got = (Q.geo_dbscan_clusters("/root/testdata/sf0.001").to_pandas()
-               .sort_values(["event_id"]).reset_index(drop=True))
+        want = self._brute(np.asarray(ids, dtype=np.int64), eps, min_pts)
+        got = (Q.geo_dbscan_clusters("/root/testdata/sf0.001", eps, min_pts)
+               .to_pandas().sort_values(["event_id"])
+               .reset_index(drop=True))
         pd.testing.assert_frame_equal(
             got[["event_id", "cluster_id", "is_core"]].astype(
                 {"is_core": bool}),
             want, check_dtype=False)
+        assert not got.is_core.astype(bool).all()  # border points exist
         # structure sanity: clusters exist, every cluster has >=1 core and
         # its label is the min CORE id
         assert got.cluster_id.nunique() >= 2
@@ -363,6 +369,14 @@ class TestDBSCAN:
         assert bool(g.is_core.any().all())
         mins = g.apply(lambda d: d.loc[d.is_core, "event_id"].min())
         assert (mins.index.to_numpy() == mins.to_numpy()).all()
+
+    def test_all_noise_sf0001(self, ray_session):
+        """No core position and no qualifying pair: the union-find task
+        gets no row and builds no table, and every point is noise."""
+        from tiff_enrichment_pipeline_ray.pipelines import queries as Q
+
+        assert Q.geo_dbscan_clusters("/root/testdata/sf0.001", 1e-9,
+                                     2).count() == 0
 
 
 class TestTerrain:

@@ -455,10 +455,13 @@ def q5_regional_revenue(sf_dir: str):
     li = li.map_batches(li_preagg, batch_format="pandas")
     joined = _dsjoin(li, o_nat, on=("o_orderkey",))
 
-    def to_nation(df: pd.DataFrame) -> pd.DataFrame:
+    # arrow output: a typed string column keeps a zero-row block's size
+    # estimate (Ray cannot size a zero-row pandas object column)
+    def to_nation(df: pd.DataFrame) -> pa.Table:
         df = df[df.supp_nation == df.cust_nation]
-        return pd.DataFrame({"n_name": df.supp_nation.map(nmap),
-                             "revenue": df.revenue})
+        return pa.table({
+            "n_name": pa.array(df.supp_nation.map(nmap), type=pa.string()),
+            "revenue": df.revenue.to_numpy(np.float64)})
 
     df = _preagg(joined.map_batches(to_nation, batch_format="pandas"),
                  ["n_name"], [("revenue", "revenue", "sum")]).to_pandas()
@@ -7506,31 +7509,43 @@ def geo_dbscan_clusters(sf_dir: str, eps: float = _DBS_EPS,
 
     Scale shape (MR-DBSCAN with POSITION CONTRACTION — the piece that
     keeps dense data from going quadratic): duplicate coordinates are
-    collapsed to (position, multiplicity, min_id) INSIDE each grid
+    collapsed to (position, multiplicity, rep = min id) INSIDE each grid
     bucket before any pairing, so every quadratic term runs over unique
     positions (bounded by the geometry) instead of points; neighbor
     counts come from multiplicity sums (k(p) = sum of m(q) over
-    qualifying positions − 1, identical for every point at p). The
-    core-core graph is contracted the same way: a per-position STAR
-    (member → position's min core id; an exact clique since co-located
-    points are at distance 0) plus ONE representative edge per
-    qualifying position pair — connectivity is preserved because any
-    point-level edge factors through the two stars and the rep edge.
-    ONE grid exchange (9 slim copies/point) computes flags + all edge
-    candidates; one bucketed merge attaches the b-side core flag (a
-    ghost's neighborhood is only complete in its own home bucket); the
-    contracted rep graph is DOMAIN-bounded (occupied fine cells × ≤14
-    neighbors — the tile-census argument), so its CC runs as union-find
-    in ONE task (the diameter-bound _cc_label_prop loop paid ~2 exchange
-    floors per round for a graph of a few thousand rows; measured 12.5 s
-    → ~4 s at sf0.1/32) and members take their cluster label through ONE
-    rep-keyed bucketed merge; row-scaled graphs (doc_dup_clusters) keep
-    the distributed loop; border
-    attachment is a bucketed merge + distributed min. No pair set,
-    label table or cluster ever lives on the driver. Rows-only vs the
-    driver (CC is not tractable SQL); value semantics pinned by
-    tests/test_spatial.py::TestDBSCAN brute-force."""
+    qualifying positions − 1, identical for every point at p).
+    Co-located points share their coreness, their neighborhood and so
+    their cluster and border label, so everything after the grid pass
+    runs per POSITION: the core-core graph contracts to one node per
+    core position and one edge per qualifying position pair (any
+    point-level edge factors through its two positions).
+
+    1. ONE grid exchange (9 slim copies/point) emits each home point's
+       (id, rep), each core home position's rep, and each qualifying
+       cross-position pair (rep_a, rep_b, core_a).
+    2. ONE repartition(1) task keeps the pairs whose rep_b is core (a
+       ghost's neighborhood is only complete in its own home bucket, so
+       b's coreness is known only here), runs union-find over the
+       core-core pairs (min rep becomes the root, so the root IS the
+       label; an isolated core position labels itself) and gives each
+       non-core position with a core neighbor the minimum label over its
+       core rep_b's. It returns one (rep, lbl, is_core) table sorted by
+       rep. Its input is DOMAIN-bounded — occupied fine cells × ≤14
+       neighbor cells, the tile-census argument: 11,641 rows for the
+       12,000-event geo_grid_queries input (seed 1) and 13,048 at sf0.1.
+    3. ONE row-wise map looks each home point's rep up in that table,
+       broadcast as its block refs (never landing on the driver); points
+       whose rep is absent are noise.
+
+    Row-scaled graphs (doc_dup_clusters) keep the distributed
+    _cc_label_prop loop. Rows-only vs the driver (CC is not tractable
+    SQL); value semantics pinned by tests/test_spatial.py::TestDBSCAN
+    brute-force."""
+    import ray
+
     ev, ne = _spread_read(sf_dir, "events", ["event_id"])
+    if ne == 0:
+        return _no_rows(event_id=np.int64, cluster_id=np.int64, is_core=bool)
     nbk = _nbuckets(9 * ne, rows_per_bucket=8192, lo=32)
     e2 = np.float64(eps) * np.float64(eps)
 
@@ -7542,10 +7557,10 @@ def geo_dbscan_clusters(sf_dir: str, eps: float = _DBS_EPS,
         return _grid_copies(cx, cy, {"id": ids, "lon": lon, "lat": lat}, nbk)
 
     # kinds emitted by the home-bucket pass:
-    #   0: per-point core flag            (a=id,   b=-1,    flag=core)
-    #   1: star CC edge, both directions  (a,b core member<->position rep)
-    #   2: rep-pair candidate             (a=rep_p core, b=rep_q, flag=T)
-    #   3: border candidate               (a=non-core id, b=rep_q)
+    #   0: a home point and its position's rep   (a=id,    b=rep)
+    #   1: a core home position                  (a=rep,   b=-1)
+    #   2: a qualifying cross-position pair      (a=rep_a, b=rep_b,
+    #      flag=core_a)
     def flags_and_edges(g: pd.DataFrame) -> pd.DataFrame:
         home = g[g.home]
         pall = _positions(g)
@@ -7555,108 +7570,37 @@ def geo_dbscan_clusters(sf_dir: str, eps: float = _DBS_EPS,
         dlat = mm.lat_a.to_numpy() - mm.lat_b.to_numpy()
         dlon = mm.lon_a.to_numpy() - mm.lon_b.to_numpy()
         mm = mm[1.8 * dlat * dlat + dlon * dlon <= e2]
-        ksum = (mm.groupby(["lat_a", "lon_a"], sort=False).m_b.sum()
-                .rename("tot").reset_index())
-        ph = ph.merge(ksum, left_on=["lat", "lon"],
-                      right_on=["lat_a", "lon_a"])
-        ph["core"] = ph.tot.to_numpy(np.int64) >= min_pts
-        # expand per-point flags (kind 0)
-        hp = home[["id", "lat", "lon"]].merge(
-            ph[["lat", "lon", "core", "rep"]], on=["lat", "lon"])
-        out_a = [hp.id.to_numpy(np.int64)]
-        out_b = [np.full(len(hp), -1, dtype=np.int64)]
-        out_k = [np.zeros(len(hp), dtype=np.int8)]
-        out_f = [hp.core.to_numpy(bool)]
-        # kind 1: position STARS (member -> its position's rep, self
-        # included so singleton positions still enumerate their rep)
-        st = hp[hp.core.to_numpy(bool)]
-        if len(st):
-            out_a.append(st.id.to_numpy(np.int64))
-            out_b.append(st.rep.to_numpy(np.int64))
-            out_k.append(np.ones(len(st), dtype=np.int8))
-            out_f.append(np.ones(len(st), dtype=bool))
-        # cross-position qualifying pairs with the home side's coreness
-        mp = mm.merge(ph[["lat", "lon", "core"]],
-                      left_on=["lat_a", "lon_a"], right_on=["lat", "lon"])
-        diff = ((mp.lat_a.to_numpy() != mp.lat_b.to_numpy())
-                | (mp.lon_a.to_numpy() != mp.lon_b.to_numpy()))
-        mp = mp[diff]
-        # kind 2: one rep edge per qualifying position pair, core a-side
-        k2 = mp[mp.core.to_numpy(bool)]
-        if len(k2):
-            out_a.append(k2.rep_a.to_numpy(np.int64))
-            out_b.append(k2.rep_b.to_numpy(np.int64))
-            out_k.append(np.full(len(k2), 2, dtype=np.int8))
-            out_f.append(np.ones(len(k2), dtype=bool))
-        # kind 3: border candidates — every NON-core home point against
-        # each qualifying neighbor position's rep
-        k3pos = mp[~mp.core.to_numpy(bool)][["lat_a", "lon_a", "rep_b"]]
-        if len(k3pos):
-            k3 = hp[~hp.core.to_numpy(bool)][["id", "lat", "lon"]].merge(
-                k3pos, left_on=["lat", "lon"],
-                right_on=["lat_a", "lon_a"])
-            if len(k3):
-                out_a.append(k3.id.to_numpy(np.int64))
-                out_b.append(k3.rep_b.to_numpy(np.int64))
-                out_k.append(np.full(len(k3), 3, dtype=np.int8))
-                out_f.append(np.zeros(len(k3), dtype=bool))
-        return pd.DataFrame({"kind": np.concatenate(out_k),
-                             "a": np.concatenate(out_a),
-                             "b": np.concatenate(out_b),
-                             "flag": np.concatenate(out_f)})
+        # a home position's rep is unique in its bucket, and every home
+        # position pairs with itself, so this covers all of them
+        tot = mm.groupby("rep_a", sort=False).m_b.sum()
+        core = tot.index.to_numpy(np.int64)[tot.to_numpy(np.int64)
+                                            >= min_pts]
+        mp = mm[mm.rep_a.to_numpy() != mm.rep_b.to_numpy()]
+        rep_a = mp.rep_a.to_numpy(np.int64)
+        n0, n1, n2 = len(home), len(core), len(mp)
+        return pd.DataFrame({
+            "kind": np.repeat(np.array([0, 1, 2], np.int8), [n0, n1, n2]),
+            "a": np.concatenate([home.id.to_numpy(np.int64), core, rep_a]),
+            "b": np.concatenate([
+                home.groupby(["lat", "lon"], sort=False).id
+                .transform("min").to_numpy(np.int64),
+                np.full(n1, -1, np.int64), mp.rep_b.to_numpy(np.int64)]),
+            "flag": np.concatenate([np.zeros(n0 + n1, bool),
+                                    np.isin(rep_a, core)])})
 
     mixed = (ev.map_batches(copies, batch_format="pandas")
              .groupby("bk").map_groups(flags_and_edges,
                                        batch_format="pandas")
              .materialize())
 
-    core_tbl = mixed.filter(expr="kind == 0")
-    stars = mixed.filter(expr="kind == 1")
-    need_b = mixed.filter(expr="kind == 2 or kind == 3")
-    n_need = need_b.count()
-    pbk = _nbuckets(n_need + ne, rows_per_bucket=8192, lo=16)
-
-    # attach the b-side core flag (kind preserved through the merge)
-    def pair_rows(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({
-            "key": df.b.to_numpy(np.int64),
-            "a": df.a.to_numpy(np.int64),
-            "kind": df.kind.to_numpy(np.int8),
-            "bk": (df.b.to_numpy(np.int64) % pbk).astype(np.int64)})
-
-    def flag_rows(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({
-            "key": df.a.to_numpy(np.int64),
-            "a": np.full(len(df), -1, dtype=np.int64),
-            "kind": np.where(df.flag.to_numpy(bool), np.int8(-1),
-                             np.int8(-2)),
-            "bk": (df.a.to_numpy(np.int64) % pbk).astype(np.int64)})
-
-    def attach_b(g: pd.DataFrame) -> pd.DataFrame:
-        corekeys = g.loc[g.kind == -1, ["key"]]
-        ps = g.loc[g.kind >= 0, ["key", "a", "kind"]]
-        m = ps.merge(corekeys, on="key")  # semi-join: keep core b only
-        return pd.DataFrame({"a": m.a.to_numpy(np.int64),
-                             "b": m.key.to_numpy(np.int64),
-                             "kind": m.kind.to_numpy(np.int8)})
-
-    flagged = (need_b.map_batches(pair_rows, batch_format="pandas")
-               .union(core_tbl.map_batches(flag_rows,
-                                           batch_format="pandas"))
-               .groupby("bk").map_groups(attach_b, batch_format="pandas")
-               .materialize())
-
-    # CC edges: stars (already both directions) + core-core rep pairs
-    # (the reverse direction arrives from the partner position's own
-    # home bucket — rep choice is position-deterministic)
-    # CC over the CONTRACTED rep graph. The rep-pair edge set is bounded
-    # by occupied fine cells x <=14 neighbor cells — a function of the
-    # DOMAIN, not the row count (the tile-census argument) — so it
-    # coalesces into ONE task running union-find in memory; per-POINT
-    # graphs must instead use the distributed _cc_label_prop loop (the
-    # doc_dup_clusters path). Isolated core positions never appear in an
-    # edge; their label defaults to their own rep downstream.
-    def cc_task(df: pd.DataFrame) -> pd.DataFrame:
+    # the (rep, lbl, is_core) table, one task over the domain-bounded
+    # core reps and position pairs
+    def cc_task(df: pd.DataFrame) -> pa.Table:
+        kind = df.kind.to_numpy()
+        core = np.unique(df.a.to_numpy(np.int64)[kind == 1])
+        pr = df[(kind == 2) & np.isin(df.b.to_numpy(np.int64), core)]
+        a, b = pr.a.to_numpy(np.int64), pr.b.to_numpy(np.int64)
+        fa = pr.flag.to_numpy(bool)
         parent: dict = {}
 
         def find(x):
@@ -7667,103 +7611,49 @@ def geo_dbscan_clusters(sf_dir: str, eps: float = _DBS_EPS,
                 parent[x], x = r, parent[x]
             return r
 
-        for a, b in zip(df.a.to_numpy(np.int64).tolist(),
-                        df.b.to_numpy(np.int64).tolist()):
-            ra, rb = find(a), find(b)
-            if ra != rb:  # min id becomes the root -> root IS the label
-                if rb < ra:
-                    ra, rb = rb, ra
-                parent[rb] = ra
-        nodes = list(parent.keys())
+        # a core-core pair arrives from both home buckets: one direction
+        # is enough for connectivity
+        cc = fa & (a < b)
+        for x, y in zip(a[cc].tolist(), b[cc].tolist()):
+            rx, ry = find(x), find(y)
+            if rx != ry:  # min id becomes the root -> root IS the label
+                if ry < rx:
+                    rx, ry = ry, rx
+                parent[ry] = rx
+        lbl = np.array([find(x) for x in core.tolist()], dtype=np.int64)
+        # border positions: min label over their core neighbors
+        bmin = (pd.Series(lbl[np.searchsorted(core, b[~fa])])
+                .groupby(a[~fa], sort=False).min())
+        rep = np.concatenate([core, bmin.index.to_numpy(np.int64)])
+        o = np.argsort(rep, kind="stable")
+        return pa.table({
+            "rep": rep[o],
+            "lbl": np.concatenate([lbl, bmin.to_numpy(np.int64)])[o],
+            "is_core": (np.arange(len(rep)) < len(core))[o]})
+
+    tbl_refs = (mixed.filter(expr="kind != 0")
+                .repartition(1)
+                .map_batches(cc_task, batch_format="pandas",
+                             batch_size=None)
+                .materialize().to_arrow_refs())
+
+    def label(df: pd.DataFrame, _refs=tbl_refs) -> pd.DataFrame:
+        tbls = [t for t in ray.get(list(_refs)) if t.num_rows]
+        if not tbls:  # no core position: every point is noise
+            return _no_rows(event_id=np.int64, cluster_id=np.int64,
+                            is_core=bool)
+        tbl = pa.concat_tables(tbls)
+        reps = tbl.column("rep").to_numpy()
+        df = df[df.kind.to_numpy() == 0]
+        rep = df.b.to_numpy(np.int64)
+        i = np.minimum(np.searchsorted(reps, rep), len(reps) - 1)
+        hit = reps[i] == rep
         return pd.DataFrame({
-            "rep": np.array(nodes, dtype=np.int64),
-            "lbl": np.array([find(x) for x in nodes], dtype=np.int64)})
+            "event_id": df.a.to_numpy(np.int64)[hit],
+            "cluster_id": tbl.column("lbl").to_numpy()[i[hit]],
+            "is_core": tbl.column("is_core").to_numpy()[i[hit]]})
 
-    rep_lbl = (flagged.filter(expr="kind == 2")
-               .repartition(1)
-               .map_batches(cc_task, batch_format="pandas",
-                            batch_size=None)
-               .materialize())
-
-    # label-back: every core member meets its rep's cluster label in ONE
-    # rep-keyed bucketed merge; reps with no edge row label themselves
-    def star_rows(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({
-            "key": df.b.to_numpy(np.int64),
-            "node": df.a.to_numpy(np.int64),
-            "lbl": np.full(len(df), -1, dtype=np.int64),
-            "bk": (df.b.to_numpy(np.int64) % pbk).astype(np.int64)})
-
-    def replbl_rows(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({
-            "key": df.rep.to_numpy(np.int64),
-            "node": np.full(len(df), -1, dtype=np.int64),
-            "lbl": df.lbl.to_numpy(np.int64),
-            "bk": (df.rep.to_numpy(np.int64) % pbk).astype(np.int64)})
-
-    def label_back(g: pd.DataFrame) -> pd.DataFrame:
-        lbls = g.loc[g.node < 0, ["key", "lbl"]]
-        mem = g.loc[g.node >= 0, ["key", "node"]]
-        m = mem.merge(lbls, on="key", how="left")
-        lbl = m.lbl.fillna(m.key).to_numpy(np.int64)  # isolated rep
-        return pd.DataFrame({"node": m.node.to_numpy(np.int64),
-                             "lbl": lbl})
-
-    labels = (stars.map_batches(star_rows, batch_format="pandas")
-              .union(rep_lbl.map_batches(replbl_rows,
-                                         batch_format="pandas"))
-              .groupby("bk").map_groups(label_back, batch_format="pandas")
-              .materialize())
-
-    # border attachment: candidates meet labels in b-keyed buckets;
-    # per-bucket PARTIAL mins (a's core neighbors scatter across
-    # buckets), then a global min-combine
-    def bc_rows(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({
-            "key": df.b.to_numpy(np.int64),
-            "node": df.a.to_numpy(np.int64),
-            "lbl": np.full(len(df), -1, dtype=np.int64),
-            "bk": (df.b.to_numpy(np.int64) % pbk).astype(np.int64)})
-
-    def lbl_rows(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({
-            "key": df.node.to_numpy(np.int64),
-            "node": np.full(len(df), -1, dtype=np.int64),
-            "lbl": df.lbl.to_numpy(np.int64),
-            "bk": (df.node.to_numpy(np.int64) % pbk).astype(np.int64)})
-
-    def attach_border(g: pd.DataFrame) -> pd.DataFrame:
-        lbls = g.loc[g.node < 0, ["key", "lbl"]]
-        cands = g.loc[g.node >= 0, ["key", "node"]]
-        m = cands.merge(lbls, on="key")
-        if not len(m):
-            return pd.DataFrame({"event_id": pd.Series([], dtype=np.int64),
-                                 "cluster_id": pd.Series([], dtype=np.int64)})
-        out = m.groupby("node", sort=False).lbl.min().reset_index()
-        return pd.DataFrame({"event_id": out.node.to_numpy(np.int64),
-                             "cluster_id": out.lbl.to_numpy(np.int64)})
-
-    border_part = (flagged.filter(expr="kind == 3")
-                   .map_batches(bc_rows, batch_format="pandas")
-                   .union(labels.map_batches(lbl_rows,
-                                             batch_format="pandas"))
-                   .groupby("bk").map_groups(attach_border,
-                                             batch_format="pandas"))
-    border = _preagg(border_part, ["event_id"],
-                     [("cluster_id", "cluster_id", "min")]).map_batches(
-        lambda df: pd.DataFrame({
-            "event_id": df.event_id.to_numpy(np.int64),
-            "cluster_id": df.cluster_id.to_numpy(np.int64),
-            "is_core": np.zeros(len(df), dtype=bool)}),
-        batch_format="pandas")
-
-    core_out = labels.map_batches(
-        lambda df: pd.DataFrame({
-            "event_id": df.node.to_numpy(np.int64),
-            "cluster_id": df.lbl.to_numpy(np.int64),
-            "is_core": np.ones(len(df), dtype=bool)}),
-        batch_format="pandas")
-    return core_out.union(border)
+    return mixed.map_batches(label, batch_format="pandas", batch_size=None)
 
 
 def geo_terrain_stats(sf_dir: str):
@@ -9260,11 +9150,11 @@ def events_ks_drift(sf_dir: str, type_a: str = "view",
     ev = read_testdata(sf_dir, "events",
                        columns=["event_type", "value"])
 
-    def keyed(df: pd.DataFrame) -> pd.DataFrame:
-        m = df.event_type.isin([type_a, type_b])
-        return pd.DataFrame({
-            "v": np.round(df.value.to_numpy(np.float64)[m.to_numpy()], 6),
-            "t": df.event_type.to_numpy()[m.to_numpy()]})
+    def keyed(df: pd.DataFrame) -> pa.Table:
+        m = df.event_type.isin([type_a, type_b]).to_numpy()
+        return pa.table({   # typed `t`: zero-row blocks keep their size
+            "v": np.round(df.value.to_numpy(np.float64)[m], 6),
+            "t": pa.array(df.event_type.to_numpy()[m], type=pa.string())})
 
     cen = _preagg(ev.map_batches(keyed, batch_format="pandas"),
                   ["v", "t"], [("c", None, "count")]).to_pandas()
@@ -9306,11 +9196,11 @@ def events_mann_whitney(sf_dir: str, type_a: str = "view",
     ev = read_testdata(sf_dir, "events",
                        columns=["event_type", "value"])
 
-    def keyed(df: pd.DataFrame) -> pd.DataFrame:
+    def keyed(df: pd.DataFrame) -> pa.Table:
         m = df.event_type.isin([type_a, type_b]).to_numpy()
-        return pd.DataFrame({
+        return pa.table({   # typed `t`: zero-row blocks keep their size
             "v": np.round(df.value.to_numpy(np.float64)[m], 6),
-            "t": df.event_type.to_numpy()[m]})
+            "t": pa.array(df.event_type.to_numpy()[m], type=pa.string())})
 
     cen = _preagg(ev.map_batches(keyed, batch_format="pandas"),
                   ["v", "t"], [("c", None, "count")]).to_pandas()
