@@ -361,34 +361,46 @@ class TestPreaggSpec:
             [[1, 3.0, 2.0, 2, 2], [2, 3.0, 3.0, 1, 1]]
 
 
-class TestJoinSafe:
-    """Empty-hash-partition join regression (functions/joinsafe.py): Ray
-    2.49's stock join aggregation raises ArrowInvalid when a partition
-    receives no shards on one side — i.e. whenever a join side has fewer
-    distinct keys than num_partitions (q18's HAVING survivors, late CC
-    rounds). These pin the shim's semantics for every join type we use."""
+_JOIN_TYPES = ("inner", "left_outer", "full_outer", "left_semi", "left_anti")
+
+
+class TestJoin:
+    """``_dsjoin`` on the bucket exchange. Both sides have fewer distinct
+    keys than the four buckets of the test session, so each side leaves
+    some bucket without rows; each side that has rows still sends every
+    bucket a zero-row piece carrying its schema. Stock ``Dataset.join``
+    raises (``ArrowInvalid``, or ``KeyError`` for ``full_outer``) for
+    every join type when a side's first block has zero rows."""
+
+    @staticmethod
+    def _frames():
+        import pandas as pd
+
+        return (pd.DataFrame({"k": [1, 2, 3], "a": [10.0, 20.0, 30.0]}),
+                pd.DataFrame({"k": [2, 3, 4, 4], "b": ["x", "y", "z", "w"]}))
 
     def _mk(self):
-        import pandas as pd
         import ray.data as rd
 
-        from tiff_enrichment_pipeline_ray.functions.joinsafe import \
-            install_joinsafe
+        lf, rf = self._frames()
+        return (rd.from_pandas(lf).repartition(3),
+                rd.from_pandas(rf).repartition(3))
 
-        install_joinsafe()  # idempotent; tests may run without the gate fixture
-        left = rd.from_pandas(pd.DataFrame(
-            {"k": [1, 2, 3], "a": [10.0, 20.0, 30.0]})).repartition(3)
-        right = rd.from_pandas(pd.DataFrame(
-            {"k": [2, 3, 4, 4], "b": ["x", "y", "z", "w"]})).repartition(3)
-        return left, right
+    @staticmethod
+    def _run(left, right, how):
+        import pyarrow as pa
+        import ray
 
-    def _join(self, left, right, how, npart=16):
-        # npart >> distinct keys forces empty partitions on BOTH sides;
-        # fractional-CPU aggregators so 16 partitions fit the 4-CPU session
-        return left.join(right, join_type=how, num_partitions=npart,
-                         on=("k",),
-                         aggregator_ray_remote_args={"num_cpus": 0.1},
-                         ).to_pandas()
+        from tiff_enrichment_pipeline_ray.pipelines.queries import _dsjoin
+
+        refs = _dsjoin(left, right, on=("k",), join_type=how).to_arrow_refs()
+        blocks = [b for b in ray.get(refs) if b.num_columns]
+        t = (pa.concat_tables(blocks, promote_options="permissive")
+             if blocks else pa.table({}))
+        return t, t.to_pandas()
+
+    def _join(self, left, right, how):
+        return self._run(left, right, how)[1]
 
     def test_inner_sparse_sides(self):
         df = self._join(*self._mk(), "inner").sort_values(
@@ -407,25 +419,112 @@ class TestJoinSafe:
         assert df.k.tolist() == [2, 3]
         assert list(df.columns) == ["k", "a"]
 
-    def test_chained_join_through_empty_partitions(self):
-        """A zero-row one-sided-schema block must survive a SECOND shuffle
-        (the q18 shape: sparse aggregate ⋈ fact ⋈ dimension)."""
+    def test_left_outer_sparse_sides(self):
+        """Key 1 has no right row: its ``b`` is a null of the right
+        side's string type, not an untyped column."""
+        t, df = self._run(*self._mk(), "left_outer")
+        assert t.schema.field("b").type == "string"
+        df = df.sort_values("k").reset_index(drop=True)
+        assert df.k.tolist() == [1, 2, 3]
+        assert df.a.tolist() == [10.0, 20.0, 30.0]
+        assert df.b.tolist() == [None, "x", "y"]
+
+    def test_full_outer_sparse_sides(self):
+        t, df = self._run(*self._mk(), "full_outer")
+        assert t.schema.field("a").type == "double"
+        assert t.schema.field("b").type == "string"
+        df = df.sort_values(["k", "b"], na_position="first") \
+            .reset_index(drop=True)
+        assert df.k.tolist() == [1, 2, 3, 4, 4]
+        assert df.a.tolist()[:3] == [10.0, 20.0, 30.0]
+        assert df.a.isna().tolist() == [False] * 3 + [True] * 2
+        assert df.b.tolist() == [None, "x", "y", "w", "z"]
+
+    @pytest.mark.parametrize("how", _JOIN_TYPES)
+    @pytest.mark.parametrize("empty_first", ["left", "right"])
+    def test_zero_row_first_block(self, how, empty_first):
+        """A side whose first block has zero rows joins like the same
+        side without that block."""
         import pandas as pd
         import ray.data as rd
 
+        lf, rf = self._frames()
+        frames = {"left": [lf], "right": [rf]}
+        frames[empty_first].insert(0, frames[empty_first][0].iloc[:0])
+        got = self._join(rd.from_pandas(frames["left"]),
+                         rd.from_pandas(frames["right"]), how)
+        want = self._join(*self._mk(), how)
+        cols = list(want.columns)
+        assert list(got.columns) == cols
+        pd.testing.assert_frame_equal(
+            got.sort_values(cols).reset_index(drop=True),
+            want.sort_values(cols).reset_index(drop=True))
+
+    @pytest.mark.parametrize("empty_side", ["left", "right"])
+    def test_side_empty_everywhere(self, empty_side):
+        """No piece reaches any bucket from a side without rows: anti
+        keeps the left rows, semi and inner give none, outer raises."""
+        import ray.data as rd
+
+        lf, rf = self._frames()
+        frames = {"left": lf, "right": rf}
+        frames[empty_side] = frames[empty_side].iloc[:0]
+        left, right = (rd.from_pandas(frames[s]) for s in ("left", "right"))
+        anti = self._join(left, right, "left_anti")
+        if empty_side == "left":
+            assert len(anti) == 0
+        else:
+            assert sorted(anti.k.tolist()) == [1, 2, 3]
+        for how in ("left_semi", "inner"):
+            assert len(self._join(left, right, how)) == 0
+        for how in ("left_outer", "full_outer"):
+            with pytest.raises(Exception, match=how):
+                self._join(left, right, how)
+
+    def test_chained_join_through_empty_partitions(self):
+        """A join's zero-row bucket outputs feed a SECOND exchange (the
+        q18 shape: sparse aggregate ⋈ fact ⋈ dimension)."""
+        import pandas as pd
+        import ray.data as rd
+
+        from tiff_enrichment_pipeline_ray.pipelines.queries import _dsjoin
+
         left, right = self._mk()
-        # 8+8 partitions (not 16+16): two LIVE joins' aggregators plus the
-        # map tasks must fit the 4-CPU test session concurrently
-        ra = {"num_cpus": 0.1}
-        j1 = left.join(right, join_type="inner", num_partitions=8, on=("k",),
-                       aggregator_ray_remote_args=ra)
+        j1 = _dsjoin(left, right, on=("k",))
         dim = rd.from_pandas(pd.DataFrame(
             {"b": ["x", "y"], "name": ["ex", "why"]}))
-        j2 = j1.join(dim, join_type="inner", num_partitions=8, on=("b",),
-                     aggregator_ray_remote_args=ra)
+        j2 = _dsjoin(j1, dim, on=("b",))
         df = j2.to_pandas().sort_values("k").reset_index(drop=True)
         assert df.k.tolist() == [2, 3]
         assert df.name.tolist() == ["ex", "why"]
+
+
+# Join queries covering every join type the registry uses: chained joins
+# (q18), four joins with a left_outer (q8), left_outer (q13), full_outer
+# (events_purchase_error_matrix), left_anti against a side that is empty at
+# sf0.001 (q16) and left_semi (q4).
+_JOIN_QUERIES = ["q18_large_orders", "q8_market_share",
+                 "q13_customer_distribution", "events_purchase_error_matrix",
+                 "q16_supplier_part_counts", "q4_priority_semijoin"]
+
+
+@pytest.mark.parametrize("name", _JOIN_QUERIES)
+def test_join_query_without_dataset_join(gate, name, monkeypatch):
+    """The join queries match their oracle hash-exactly while
+    ``Dataset.join`` raises: every join runs on the bucket exchange."""
+    import ray.data
+
+    from tools.minidriver import compare, to_pandas
+
+    def no_join(self, *a, **kw):
+        raise AssertionError("Dataset.join called")
+
+    monkeypatch.setattr(ray.data.Dataset, "join", no_join)
+    entrymod, con, sf_dir = gate
+    ray_df = to_pandas(entrymod.queries()[name](sf_dir))
+    sql_df = con.sql(entrymod.oracle_sql()[name]).df()
+    err = compare(name, ray_df, sql_df, exact=True)
+    assert err is None, err
 
 
 def test_tdigest_percentiles_near_exact(gate):
@@ -2178,11 +2277,11 @@ _GRID_OP_EXCHANGES = {
 }
 
 
-def _exchange_calls(monkeypatch, name, sf_dir):
-    """Dataset groupby/sort/repartition calls while building query `name`."""
+def _exchange_calls(monkeypatch, build):
+    """Dataset groupby/sort/repartition/join calls while running ``build()``.
+    A ``groupby(...).map_groups`` counts one groupby and the one sort of
+    its sort-based shuffle."""
     import ray.data
-
-    from tiff_enrichment_pipeline_ray.pipelines import queries as Q
 
     calls = {}
 
@@ -2194,17 +2293,41 @@ def _exchange_calls(monkeypatch, name, sf_dir):
             return real(self, *a, **kw)
         return wrapper
 
-    for method in ("groupby", "sort", "repartition"):
+    for method in ("groupby", "sort", "repartition", "join"):
         monkeypatch.setattr(ray.data.Dataset, method, counting(method))
-    getattr(Q, name)(sf_dir)
+    build()
     return calls
+
+
+def _query_exchange_calls(monkeypatch, name, sf_dir):
+    """``_exchange_calls`` of building query ``name``."""
+    from tiff_enrichment_pipeline_ray.pipelines import queries as Q
+
+    return _exchange_calls(monkeypatch, lambda: getattr(Q, name)(sf_dir))
 
 
 @pytest.mark.parametrize("name", sorted(_GRID_OP_EXCHANGES))
 def test_grid_op_exchange_shape(gate, name, monkeypatch):
     _entry, _con, sf_dir = gate
-    assert _exchange_calls(monkeypatch, name, sf_dir) \
+    assert _query_exchange_calls(monkeypatch, name, sf_dir) \
         == _GRID_OP_EXCHANGES[name]
+
+
+def test_dsjoin_exchange_shape(gate, monkeypatch):
+    """A ``_dsjoin`` is one bucket groupby: no repartition, no second
+    sort and no ``Dataset.join``."""
+    from tiff_enrichment_pipeline_ray.pipelines import queries as Q
+
+    _entry, _con, sf_dir = gate
+
+    def build():
+        orders = Q.read_testdata(sf_dir, "orders",
+                                 columns=["o_orderkey", "o_custkey"])
+        cust = Q.read_testdata(sf_dir, "customer", columns=["c_custkey"])
+        return Q._dsjoin(orders, cust, on=("o_custkey",),
+                         right_on=("c_custkey",))
+
+    assert _exchange_calls(monkeypatch, build) == {"groupby": 1, "sort": 1}
 
 
 # The same count for the two-phase ordered scans (`_bucket_offsets`): one
@@ -2224,7 +2347,7 @@ _SCAN_OP_EXCHANGES = {
 @pytest.mark.parametrize("name", sorted(_SCAN_OP_EXCHANGES))
 def test_scan_op_exchange_shape(gate, name, monkeypatch):
     _entry, _con, sf_dir = gate
-    assert _exchange_calls(monkeypatch, name, sf_dir) \
+    assert _query_exchange_calls(monkeypatch, name, sf_dir) \
         == _SCAN_OP_EXCHANGES[name]
 
 

@@ -1,0 +1,81 @@
+"""The package uses Ray only through its public API.
+
+A module fails when it imports from ``ray.data._internal`` or assigns to an
+attribute of a name it imported from Ray (``ray.data.Dataset.join = …``,
+``import … join as j; j.Cls = …``, or ``setattr`` on such a name). A patch
+of Ray's internals can vanish without an error on a Ray upgrade, leaving
+code that relied on it to fail far from the cause.
+"""
+import ast
+import os
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PACKAGE = os.path.join(ROOT, "tiff_enrichment_pipeline_ray")
+PRIVATE = "ray.data._internal"
+
+
+def _is_ray(module):
+    return module == "ray" or module.startswith("ray.")
+
+
+def _violations(tree):
+    """(line, reason) of every private Ray import and Ray attribute patch."""
+    ray_names = set()
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                if _is_ray(a.name):
+                    ray_names.add(a.asname or a.name.split(".")[0])
+                if a.name.startswith(PRIVATE):
+                    out.append((node.lineno, f"imports {a.name}"))
+        elif isinstance(node, ast.ImportFrom) and _is_ray(node.module or ""):
+            ray_names.update(a.asname or a.name for a in node.names)
+            if node.module.startswith(PRIVATE):
+                out.append((node.lineno, f"imports from {node.module}"))
+
+    def root(expr):
+        while isinstance(expr, ast.Attribute):
+            expr = expr.value
+        return expr.id if isinstance(expr, ast.Name) else None
+
+    for node in ast.walk(tree):
+        targets = []
+        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id in ("setattr", "delattr") and node.args):
+            targets = [ast.Attribute(value=node.args[0], attr="?")]
+        for t in targets:
+            for el in (t.elts if isinstance(t, ast.Tuple) else [t]):
+                if isinstance(el, ast.Attribute) and root(el) in ray_names:
+                    out.append((node.lineno,
+                                f"patches {root(el)}.…{el.attr}"))
+    return out
+
+
+def test_no_private_ray_hooks():
+    found = []
+    for d, _, files in os.walk(PACKAGE):
+        for f in sorted(files):
+            if f.endswith(".py"):
+                path = os.path.join(d, f)
+                with open(path) as fh:
+                    tree = ast.parse(fh.read(), path)
+                rel = os.path.relpath(path, ROOT)
+                found += [f"{rel}:{line} {why}"
+                          for line, why in _violations(tree)]
+    assert not found, found
+
+
+def test_detects_both_hook_forms():
+    src = ("from ray.data._internal.execution.operators import join as j\n"
+           "import ray.data\n"
+           "j.JoiningShuffleAggregation = object\n"
+           "ray.data.Dataset.join = None\n"
+           "setattr(j, 'x', 1)\n"
+           "ctx = ray.data.DataContext.get_current()\n"
+           "ctx.enable_progress_bars = False\n")
+    lines = sorted(line for line, _ in _violations(ast.parse(src)))
+    assert lines == [1, 3, 4, 5]

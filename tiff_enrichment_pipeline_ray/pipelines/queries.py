@@ -28,11 +28,8 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from ..functions.joinsafe import install_joinsafe
 from ..sources import synth
 from ..sources.tables import read_testdata, testdata_path
-
-install_joinsafe()  # every Dataset.join below tolerates empty hash partitions
 
 # --------------------------------------------------------------- helpers
 
@@ -251,22 +248,68 @@ def _spread_read(sf_dir: str, table: str, columns,
 
 
 def _dsjoin(left, right, on, join_type="inner", right_on=None):
-    """Distributed hash-partition join sized to the cluster: partition count
-    ~ CPUs (enough parallelism without flooding the scheduler). Aggregator
-    actors reserve ZERO logical CPUs: every join in a plan eagerly spawns
-    num_partitions aggregators, so any positive reservation deadlocks a
-    deep-enough join chain (4 joins x 8 partitions x 0.25 CPU ate an entire
-    8-CPU session and starved the map tasks — observed livelock). The
-    aggregators' combine work is bounded by the shuffle's memory
-    backpressure, not by CPU reservation. join_type passes through to Ray
-    (inner | left_outer | left_semi | left_anti | ...)."""
+    """Distributed hash join on the engine's bucket exchange: ONE
+    ``groupby("bk").map_groups`` co-group over ``max(4, CPUs)`` buckets.
+    Each side's map task hashes the key columns (integer keys widened to
+    int64, so an int32 and an int64 side agree) and sends EVERY bucket one
+    Arrow IPC piece of its rows, zero rows included, carrying the side's
+    schema. The bucket task concatenates each side's pieces (permissive
+    type promotion, as Ray's block builder does) and runs pyarrow
+    ``Table.join``, the call Ray's own join makes. ``join_type`` is Ray's
+    name (inner | left_outer | full_outer | left_semi | left_anti | ...).
+
+    Ray maps no zero-row block, so a side with no rows ANYWHERE sends no
+    piece and its schema is unknown: ``left_anti`` then returns the left
+    rows, ``inner`` and ``left_semi`` no rows, and any other join type
+    raises ``ValueError`` naming it."""
     import ray
 
-    cpus = int(ray.cluster_resources().get("CPU", 8))
-    return left.join(right, join_type=join_type,
-                     num_partitions=max(4, cpus),
-                     on=on, right_on=right_on,
-                     aggregator_ray_remote_args={"num_cpus": 0})
+    right_on = tuple(right_on or on)
+    nb = max(4, int(ray.cluster_resources().get("CPU", 8)))
+
+    def pieces(side, keys):
+        def split(t: pa.Table) -> pa.Table:
+            cols = [c.cast(pa.int64()).fill_null(0)
+                    if pa.types.is_integer(c.type) else c
+                    for c in t.select(keys).columns]
+            kdf = pd.DataFrame({i: c.to_numpy() for i, c in enumerate(cols)})
+            b = (pd.util.hash_pandas_object(kdf, index=False).to_numpy()
+                 % np.uint64(nb)).astype(np.int64)
+            t = t.take(np.argsort(b, kind="stable"))
+            ends = np.cumsum(np.bincount(b, minlength=nb))
+            data = []
+            for lo, hi in zip(np.r_[0, ends[:-1]], ends):
+                sink = pa.BufferOutputStream()
+                with pa.ipc.new_stream(sink, t.schema) as w:
+                    w.write_table(t.slice(lo, hi - lo))
+                data.append(sink.getvalue().to_pybytes())
+            return pa.table({"bk": pa.array(range(nb), pa.int64()),
+                             "side": pa.array([side] * nb, pa.int8()),
+                             "data": pa.array(data, pa.large_binary())})
+        return split
+
+    def bucket(g: pa.Table) -> pa.Table:
+        sides = ([], [])
+        data = g.column("data").combine_chunks()
+        for i, s in enumerate(g.column("side").to_numpy()):
+            sides[s].append(pa.ipc.open_stream(data[i].as_buffer()).read_all())
+        lt, rt = (pa.concat_tables(p, promote_options="permissive")
+                  if p else None for p in sides)
+        if lt is not None and rt is not None:
+            return lt.join(rt, join_type=join_type.replace("_", " "),
+                           keys=list(on), right_keys=list(right_on))
+        if join_type not in ("inner", "left_semi", "left_anti"):
+            raise ValueError(f"{join_type} join needs both schemas, but one "
+                             "side has no rows")
+        if lt is not None and join_type != "inner":
+            return lt if join_type == "left_anti" else lt.slice(0, 0)
+        return pa.table({})
+
+    return (left.map_batches(pieces(0, list(on)), batch_format="pyarrow",
+                             batch_size=None)
+            .union(right.map_batches(pieces(1, list(right_on)),
+                                     batch_format="pyarrow", batch_size=None))
+            .groupby("bk").map_groups(bucket, batch_format="pyarrow"))
 
 
 def q1_pricing_summary(sf_dir: str):
@@ -330,7 +373,7 @@ def q6_forecast_revenue(sf_dir: str):
 
 def q3_shipping_priority(sf_dir: str):
     """Top-10 order revenue. Customer is SF-proportional, so the BUILDING
-    qualification is a distributed LEFT SEMI hash join (``Dataset.join``) —
+    qualification is a distributed LEFT SEMI hash join (``_dsjoin``) —
     no table, dimension or fact, is ever gathered to the driver (round-3
     fix; round 2 broadcast a frozenset of all BUILDING custkeys, O(SF)
     driver state). Top-10 = per-batch partial top-k + tiny driver merge."""
@@ -522,8 +565,13 @@ def top10_customers(sf_dir: str):
                            ascending=[False, True]).head(10)
     keys = set(df.o_custkey)
     cust = read_testdata(sf_dir, "customer", columns=["c_custkey", "c_name"])
-    cmap = cust.map_batches(lambda c: c[c.c_custkey.isin(keys)],
-                            batch_format="pandas").to_pandas()  # ≤ 10 rows
+
+    def winners(c: pd.DataFrame) -> pa.Table:  # typed c_name, as q2
+        c = c[c.c_custkey.isin(keys)]
+        return pa.table({"c_custkey": c.c_custkey.to_numpy(np.int64),
+                         "c_name": pa.array(c.c_name, type=pa.string())})
+
+    cmap = cust.map_batches(winners, batch_format="pandas").to_pandas()
     df = df.merge(cmap, left_on="o_custkey", right_on="c_custkey").drop(columns=["c_custkey"])
     return df
 
@@ -2983,8 +3031,10 @@ def doc_pii_scrub(sf_dir: str):
 #     the point, q19 instead joins lineitem ⋈ part with a distributed hash
 #     join to demonstrate the at-scale alternative.
 #   - customer / orders / lineitem: NEVER on the driver — distributed
-#     hash-partition joins (_dsjoin) with block-level pre-aggregation
-#     (_preagg) so every shuffle carries aggregate-sized rows.
+#     hash joins (_dsjoin: one groupby("bk").map_groups co-group over
+#     max(4, CPUs) key-hash buckets, pyarrow Table.join per bucket) with
+#     block-level pre-aggregation (_preagg) so every shuffle carries
+#     aggregate-sized rows.
 
 
 def _nation_names(sf_dir: str) -> dict[int, str]:
@@ -3784,7 +3834,7 @@ def q15_top_supplier(sf_dir: str):
 
 
 def suppliers_with_returns(sf_dir: str):
-    """Native LEFT SEMI join (Ray join_type='left_semi'): suppliers with at
+    """LEFT SEMI join (``_dsjoin`` join_type='left_semi'): suppliers with at
     least one returned 1996 lineitem — existence, not multiplicity, so the
     probe side is deduped per block before the shuffle and the semi join
     emits each left row at most once (no post-dedup needed)."""
@@ -4190,7 +4240,7 @@ def events_user_retention(sf_dir: str):
     day and the next — DISTINCT (user, day) pairs, a distributed
     self-join on (user, day+1), then a count per base day. The
     distinct-pair set is produced by the two-stage hash aggregate (never
-    gathered); the self-join is a hash-partition Dataset join keyed on
+    gathered); the self-join is a ``_dsjoin`` bucket-exchange join keyed on
     (user_id, dkey), so the pipeline is corpus-scale-safe end to end.
     Integer epoch-day keys (µs // 86_400e6 == ts::DATE for the positive
     timestamps here) keep both engines bit-exact."""
@@ -4275,10 +4325,15 @@ def q2_min_cost_supplier(sf_dir: str):
                          columns=["s_suppkey", "s_name", "s_nationkey",
                                   "s_acctbal"])
 
-    def eu_only(df: pd.DataFrame) -> pd.DataFrame:
-        df = df[df.s_nationkey.isin(eu_keys)].copy()
-        df["n_name"] = df.s_nationkey.map(nname)
-        return df.drop(columns=["s_nationkey"])
+    # arrow output: typed string columns keep a zero-row block's size
+    # estimate (Ray cannot size a zero-row pandas object column)
+    def eu_only(df: pd.DataFrame) -> pa.Table:
+        df = df[df.s_nationkey.isin(eu_keys)]
+        return pa.table({
+            "s_suppkey": df.s_suppkey.to_numpy(np.int64),
+            "s_name": pa.array(df.s_name, type=pa.string()),
+            "s_acctbal": df.s_acctbal.to_numpy(np.float64),
+            "n_name": pa.array(df.s_nationkey.map(nname), type=pa.string())})
 
     eu_supp = supp.map_batches(eu_only, batch_format="pandas")
 
@@ -4400,9 +4455,13 @@ def q20_excess_stock(sf_dir: str):
     nk = set(nat[nat.n_name == "NATION_3"].n_nationkey)
     supp = read_testdata(sf_dir, "supplier",
                          columns=["s_suppkey", "s_name", "s_nationkey"])
-    nsupp = supp.map_batches(
-        lambda df: df[df.s_nationkey.isin(nk)][["s_suppkey", "s_name"]],
-        batch_format="pandas")
+
+    def nation_supp(df: pd.DataFrame) -> pa.Table:  # typed s_name, as q2
+        df = df[df.s_nationkey.isin(nk)]
+        return pa.table({"s_suppkey": df.s_suppkey.to_numpy(np.int64),
+                         "s_name": pa.array(df.s_name, type=pa.string())})
+
+    nsupp = supp.map_batches(nation_supp, batch_format="pandas")
     out = _dsjoin(nsupp, dsupp, on=("s_suppkey",),
                   right_on=("ps_suppkey",)).to_pandas()
     return (out.sort_values("s_name").reset_index(drop=True)
