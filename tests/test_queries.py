@@ -6,6 +6,7 @@ import os
 import sys
 
 import numpy as np
+import pandas as pd
 import pytest
 
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
@@ -864,6 +865,7 @@ def test_bigram_pmi_tie_and_mincnt(tmp_path):
 
     from tiff_enrichment_pipeline_ray.pipelines import queries as Q
     from tiff_enrichment_pipeline_ray.pipelines.oracles import ORACLES
+    from tools.minidriver import to_pandas
 
     docs = pd.DataFrame({
         "doc_id": range(6),
@@ -882,7 +884,7 @@ def test_bigram_pmi_tie_and_mincnt(tmp_path):
     pq.write_table(pa.Table.from_pandas(docs, preserve_index=False),
                    sf / "documents.parquet")
 
-    got = (Q.doc_bigram_pmi(str(sf)).to_pandas()
+    got = (to_pandas(Q.doc_bigram_pmi(str(sf)))
            .sort_values(["w1", "w2"]).reset_index(drop=True))
     con = duckdb.connect()
     con.sql(f"CREATE VIEW documents AS SELECT * FROM "
@@ -1061,6 +1063,7 @@ def test_basket_pair_multiplicity(tmp_path):
 
     from tiff_enrichment_pipeline_ray.pipelines import queries as Q
     from tiff_enrichment_pipeline_ray.pipelines.oracles import ORACLES
+    from tools.minidriver import to_pandas
 
     li = pd.DataFrame({
         "l_orderkey": [1, 1, 1, 2, 2, 3, 3],
@@ -1071,7 +1074,7 @@ def test_basket_pair_multiplicity(tmp_path):
     pq.write_table(pa.Table.from_pandas(li, preserve_index=False),
                    sf / "lineitem.parquet")
 
-    got = (Q.market_basket_pairs(str(sf)).to_pandas()
+    got = (to_pandas(Q.market_basket_pairs(str(sf)))
            .sort_values(["p1", "p2"]).reset_index(drop=True))
     con = duckdb.connect()
     con.sql(f"CREATE VIEW lineitem AS SELECT * FROM "
@@ -1096,6 +1099,7 @@ def test_triangles_k4_and_open_wedge(tmp_path):
 
     from tiff_enrichment_pipeline_ray.pipelines import queries as Q
     from tiff_enrichment_pipeline_ray.pipelines.oracles import ORACLES
+    from tools.minidriver import to_pandas
 
     orders = [
         (1, [1, 2, 3, 4]), (2, [1, 2, 3, 4]),   # K4, every pair twice
@@ -1111,7 +1115,7 @@ def test_triangles_k4_and_open_wedge(tmp_path):
     pq.write_table(pa.Table.from_pandas(li, preserve_index=False),
                    sf / "lineitem.parquet")
 
-    got = (Q.graph_triangles(str(sf)).to_pandas()
+    got = (to_pandas(Q.graph_triangles(str(sf)))
            .sort_values("p").reset_index(drop=True))
     con = duckdb.connect()
     con.sql(f"CREATE VIEW lineitem AS SELECT * FROM "
@@ -1305,6 +1309,7 @@ def test_pagerank_matches_numpy_power_iteration(tmp_path):
     import pyarrow.parquet as pq
 
     from tiff_enrichment_pipeline_ray.pipelines import queries as Q
+    from tools.minidriver import to_pandas
 
     orders = [(1, [1, 2, 3]), (2, [1, 2, 3]),
               (3, [3, 4]), (4, [3, 4]),
@@ -1317,7 +1322,7 @@ def test_pagerank_matches_numpy_power_iteration(tmp_path):
     pq.write_table(pa.Table.from_pandas(li, preserve_index=False),
                    sf / "lineitem.parquet")
 
-    got = (Q.graph_pagerank(str(sf)).to_pandas()
+    got = (to_pandas(Q.graph_pagerank(str(sf)))
            .sort_values("part_id").reset_index(drop=True))
 
     # dense power iteration, identical float semantics
@@ -2277,33 +2282,40 @@ _GRID_OP_EXCHANGES = {
 }
 
 
-def _exchange_calls(monkeypatch, build):
-    """Dataset groupby/sort/repartition/join calls while running ``build()``.
-    A ``groupby(...).map_groups`` counts one groupby and the one sort of
-    its sort-based shuffle."""
+def _exchange_calls(monkeypatch, build, grouped=False):
+    """Dataset groupby/sort/repartition/join calls while running ``build()``
+    and, with ``grouped``, GroupedData map_groups/aggregate calls too. A
+    ``groupby(...).map_groups`` counts one groupby and the one sort of
+    its sort-based shuffle; Ray's aggregates (``Dataset.aggregate/sum/
+    min/max``, ``GroupedData.count``) each reach ``GroupedData.aggregate``."""
     import ray.data
+    from ray.data.grouped_data import GroupedData
 
     calls = {}
 
-    def counting(method):
-        real = getattr(ray.data.Dataset, method)
+    def counting(cls, method):
+        real = getattr(cls, method)
 
         def wrapper(self, *a, **kw):
             calls[method] = calls.get(method, 0) + 1
             return real(self, *a, **kw)
-        return wrapper
+        monkeypatch.setattr(cls, method, wrapper)
 
     for method in ("groupby", "sort", "repartition", "join"):
-        monkeypatch.setattr(ray.data.Dataset, method, counting(method))
+        counting(ray.data.Dataset, method)
+    if grouped:
+        for method in ("map_groups", "aggregate"):
+            counting(GroupedData, method)
     build()
     return calls
 
 
-def _query_exchange_calls(monkeypatch, name, sf_dir):
+def _query_exchange_calls(monkeypatch, name, sf_dir, grouped=False):
     """``_exchange_calls`` of building query ``name``."""
     from tiff_enrichment_pipeline_ray.pipelines import queries as Q
 
-    return _exchange_calls(monkeypatch, lambda: getattr(Q, name)(sf_dir))
+    return _exchange_calls(monkeypatch, lambda: getattr(Q, name)(sf_dir),
+                           grouped)
 
 
 @pytest.mark.parametrize("name", sorted(_GRID_OP_EXCHANGES))
@@ -2351,17 +2363,86 @@ def test_scan_op_exchange_shape(gate, name, monkeypatch):
         == _SCAN_OP_EXCHANGES[name]
 
 
+# Queries whose global top-k runs through `_topk` (no exchange) and whose
+# totals, dedup and semi joins run through `_reduce`, `_preagg` and
+# `_dsjoin`: every sort they start is a `map_groups` shuffle, and none
+# calls a Ray aggregate. ann_*_topk stand for the search_* helpers.
+_NO_RAY_AGG_SORT_QUERIES = [
+    "events_top_values", "doc_vocab_topk", "doc_vocab_topk_mg",
+    "doc_bigram_pmi", "market_basket_pairs", "graph_triangles",
+    "graph_pagerank", "q3_shipping_priority", "top10_customers",
+    "ann_topk_cosine", "q10_returned_items", "sample_join_uniform",
+    "sample_weighted", "q21_waiting_suppliers", "q2_min_cost_supplier",
+    "image_duplicate_tiles", "ann_ivf_topk", "ann_lsh_topk", "ann_pq_topk",
+    "q4_priority_semijoin", "q4_bloom_semijoin", "q6_forecast_revenue",
+    "doc_dup_clusters", "image_mosaic_groups", "geo_emerging_hotspots",
+    "events_cusum_changepoint"]
+
+
+@pytest.mark.parametrize("name", _NO_RAY_AGG_SORT_QUERIES)
+def test_query_runs_no_ray_sort_or_aggregate(gate, name, monkeypatch):
+    _entry, _con, sf_dir = gate
+    calls = _query_exchange_calls(monkeypatch, name, sf_dir, grouped=True)
+    assert "aggregate" not in calls, calls
+    assert calls.get("sort", 0) == calls.get("groupby", 0) \
+        == calls.get("map_groups", 0), calls
+
+
+def _topk_input(n_blocks=8, rows=12):
+    """``n_blocks`` blocks whose leading key ``a`` ties across blocks; the
+    trailing key ``b`` (unique, interleaved over blocks) breaks the ties."""
+    import ray.data as rd
+
+    n = n_blocks * rows
+    i = np.arange(n, dtype=np.int64)
+    full = pd.DataFrame({"a": i % 3, "b": (i * 37) % n,
+                         "w": [f"r{v}" for v in i]})
+    chunks = [full.iloc[j::n_blocks].reset_index(drop=True)
+              for j in range(n_blocks)]
+    ds = rd.from_pandas(chunks)
+    assert ds.materialize().num_blocks() == n_blocks
+    return ds, full
+
+
+@pytest.mark.parametrize("k", [1, 5, 40, 1000])
+@pytest.mark.parametrize("ascending", [[False, True], [True, False]])
+def test_topk_equals_full_sort(k, ascending):
+    from tiff_enrichment_pipeline_ray.pipelines import queries as Q
+
+    ds, full = _topk_input()
+    got = Q._topk(ds, ["a", "b"], ascending, k)
+    want = (full.sort_values(["a", "b"], ascending=ascending)
+            .head(k).reset_index(drop=True))
+    pd.testing.assert_frame_equal(got, want)
+
+
+def test_reduce_matches_pandas_and_sql_empty():
+    import ray.data as rd
+
+    from tiff_enrichment_pipeline_ray.pipelines import queries as Q
+
+    ds, full = _topk_input()
+    spec = [("s", "a", "sum"), ("n", None, "count"), ("lo", "b", "min"),
+            ("hi", "b", "max")]
+    assert Q._reduce(ds, spec) == {
+        "s": int(full.a.sum()), "n": len(full),
+        "lo": int(full.b.min()), "hi": int(full.b.max())}
+    empty = rd.from_pandas(Q._no_rows(a=np.int64, b=np.int64))
+    assert Q._reduce(empty, spec) == {"s": None, "n": 0, "lo": None,
+                                      "hi": None}
+
+
 @pytest.fixture(scope="module")
 def empty_sf(gate, tmp_path_factory):
-    """The gate's sf with zero-row ``events`` and ``documents`` (same
-    schemas; an empty parquet file's one row group has no min/max
-    statistics) and every other table linked in unchanged."""
+    """The gate's sf with zero-row ``events``, ``documents`` and
+    ``lineitem`` (same schemas; an empty parquet file's one row group has
+    no min/max statistics) and every other table linked in unchanged."""
     import pyarrow.parquet as pq
 
     _entry, _con, src = gate
     d = tmp_path_factory.mktemp("empty_sf")
     for f in sorted(os.listdir(src)):
-        if f in ("events.parquet", "documents.parquet"):
+        if f in ("events.parquet", "documents.parquet", "lineitem.parquet"):
             pq.write_table(pq.read_table(os.path.join(src, f)).slice(0, 0),
                            str(d / f))
         else:
@@ -2414,5 +2495,29 @@ def test_scan_op_empty_input_matches_oracle(gate, empty_sf, name):
     ray_df = to_pandas(entrymod.queries()[name](empty_sf))
     sql_df = con.sql(entrymod.oracle_sql()[name]).df()
     assert len(sql_df) == 0
+    err = compare(name, ray_df, sql_df, exact=True)
+    assert err is None, err
+
+
+@pytest.mark.parametrize("name,sql_rows", [
+    ("q6_forecast_revenue", 1), ("geo_emerging_hotspots", 0),
+    ("events_cusum_changepoint", 0)])
+def test_reduce_op_empty_input_matches_oracle(gate, empty_sf, name,
+                                              sql_rows):
+    """Over an empty fact table the keyless totals give the oracle's
+    answer: q6 SQL's one row (revenue NULL, n_rows 0), the day-range
+    operators typed zero rows."""
+    import duckdb
+
+    from tools.minidriver import compare, to_pandas
+
+    entrymod, _con, _sf_dir = gate
+    con = duckdb.connect()
+    for t in ("events", "lineitem"):
+        con.sql(f"CREATE VIEW {t} AS SELECT * FROM "
+                f"read_parquet('{empty_sf}/{t}.parquet')")
+    ray_df = to_pandas(entrymod.queries()[name](empty_sf))
+    sql_df = con.sql(entrymod.oracle_sql()[name]).df()
+    assert len(sql_df) == sql_rows
     err = compare(name, ray_df, sql_df, exact=True)
     assert err is None, err

@@ -5,6 +5,10 @@ attribute of a name it imported from Ray (``ray.data.Dataset.join = …``,
 ``import … join as j; j.Cls = …``, or ``setattr`` on such a name). A patch
 of Ray's internals can vanish without an error on a Ray upgrade, leaving
 code that relied on it to fail far from the cause.
+
+Modules under ``pipelines/`` and ``stages/`` also import nothing from
+``ray.data.aggregate``: the query layer's exchanges are its own
+(``_preagg``, ``_dsjoin``, bucket ``map_groups``).
 """
 import ast
 import os
@@ -12,6 +16,7 @@ import os
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PACKAGE = os.path.join(ROOT, "tiff_enrichment_pipeline_ray")
 PRIVATE = "ray.data._internal"
+AGGREGATE = "ray.data.aggregate"
 
 
 def _is_ray(module):
@@ -67,6 +72,49 @@ def test_no_private_ray_hooks():
                 found += [f"{rel}:{line} {why}"
                           for line, why in _violations(tree)]
     assert not found, found
+
+
+def _aggregate_imports(tree):
+    """Lines that import from ``ray.data.aggregate``."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            mods = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            mods = [node.module or ""] + [f"{node.module}.{a.name}"
+                                          for a in node.names]
+        else:
+            continue
+        if any(m == AGGREGATE or m.startswith(AGGREGATE + ".")
+               for m in mods):
+            out.append(node.lineno)
+    return out
+
+
+def test_query_layer_runs_no_ray_aggregate():
+    """Modules under ``pipelines/`` and ``stages/`` aggregate through the
+    engine's own forms (``_preagg``, ``_reduce``, ``_topk``), never
+    through Ray's aggregate operators, each an all-to-all exchange."""
+    found = []
+    for sub in ("pipelines", "stages"):
+        for d, _, files in os.walk(os.path.join(PACKAGE, sub)):
+            for f in sorted(files):
+                if f.endswith(".py"):
+                    path = os.path.join(d, f)
+                    with open(path) as fh:
+                        tree = ast.parse(fh.read(), path)
+                    found += [f"{os.path.relpath(path, ROOT)}:{line}"
+                              for line in _aggregate_imports(tree)]
+    assert not found, found
+
+
+def test_detects_aggregate_imports():
+    src = ("from ray.data.aggregate import Count, Sum\n"
+           "import ray.data.aggregate\n"
+           "import ray.data.aggregate as agg\n"
+           "from ray.data import aggregate\n"
+           "from ray.data.aggregates import X\n")
+    assert _aggregate_imports(ast.parse(src)) == [1, 2, 3, 4]
 
 
 def test_detects_both_hook_forms():

@@ -372,11 +372,16 @@ class TestDBSCAN:
 
     def test_all_noise_sf0001(self, ray_session):
         """No core position and no qualifying pair: the union-find task
-        gets no row and builds no table, and every point is noise."""
+        gets no row and builds no table, every point is noise, and the
+        result keeps its three typed columns."""
         from tiff_enrichment_pipeline_ray.pipelines import queries as Q
+        from tools.minidriver import to_pandas
 
-        assert Q.geo_dbscan_clusters("/root/testdata/sf0.001", 1e-9,
-                                     2).count() == 0
+        got = to_pandas(Q.geo_dbscan_clusters("/root/testdata/sf0.001",
+                                              1e-9, 2))
+        assert len(got) == 0
+        assert dict(got.dtypes) == {"event_id": np.int64,
+                                    "cluster_id": np.int64, "is_core": bool}
 
 
 class TestTerrain:

@@ -15,9 +15,15 @@ Float discipline (so Ray and DuckDB hash-match bit-for-bit):
 - geo-derived queries use integer-only or expression-identical arithmetic
   (documented per query) so values match exactly without rounding.
 
-Keyed aggregates use ``_preagg``: a per-block arrow partial inside
-map_batches, then a small groupby over the partials — the shuffle moves one
-row per (key × block), not one per input row.
+A query's exchanges take three forms only:
+- ``_preagg`` (keyed aggregates): a per-block arrow partial inside
+  map_batches, then a small groupby over the partials — the shuffle moves
+  one row per (key × block), not one per input row;
+- ``_dsjoin`` (joins): one bucket co-group;
+- a bucket ``groupby(...).map_groups`` written by the query.
+Global top-k runs through ``_topk`` and keyless totals through ``_reduce``:
+per-block partials merged on the driver, with no exchange. No query calls
+``Dataset.sort`` or a Ray aggregate.
 """
 
 from __future__ import annotations
@@ -93,6 +99,64 @@ def _preagg(ds, keys, spec):
     pds = ds.map_batches(partial, batch_format="pyarrow", batch_size=None)
     return pds.groupby("_pk").map_groups(
         lambda df: combine(df.drop(columns=["_pk"])), batch_format="pandas")
+
+
+def _topk(ds, by, ascending, k: int) -> pd.DataFrame:
+    """The first ``k`` rows of ``ds`` ordered by columns ``by`` (one
+    ``ascending`` flag per column), as a pandas frame: SQL's ORDER BY …
+    LIMIT k. Key columns the order needs (a rounded value, a sampling
+    priority) are derived by the caller beforehand.
+
+    Each block keeps its own top k in one ``map_batches(batch_size=None)``
+    task; the driver streams those ≤ k-row results and keeps a running top
+    k, so it never holds more than 2k rows, whatever the block count, and
+    no exchange runs. An input without rows gives a frame without
+    columns, as ``Dataset.to_pandas`` does."""
+    by, ascending = list(by), list(ascending)
+
+    def top(df: pd.DataFrame) -> pd.DataFrame:
+        return df.sort_values(by, ascending=ascending,
+                              kind="stable").head(k)
+
+    out = None
+    for b in ds.map_batches(top, batch_format="pandas",
+                            batch_size=None).iter_batches(
+            batch_format="pandas", batch_size=None):
+        out = b if out is None else top(pd.concat([out, b],
+                                                  ignore_index=True))
+    return pd.DataFrame() if out is None else out.reset_index(drop=True)
+
+
+def _reduce(ds, spec) -> dict:
+    """Keyless ``_preagg``: spec [(out_col, src_col|None, op)] with op ∈
+    sum|count|min|max; count with src None = COUNT(*). Each block gives
+    one partial row in ``map_batches(batch_size=None)`` and the driver
+    combines the ≤ n_blocks partials, so no exchange runs. Returns
+    {out_col: Python value}; over no rows, as in SQL, a count is 0 and
+    every other op None."""
+    import pyarrow.compute as pc
+
+    def partial(t: pa.Table) -> pa.Table:
+        cols = {}
+        for out, src, op in spec:
+            v = (pa.scalar(t.num_rows, pa.int64()) if src is None
+                 else getattr(pc, op)(t.column(src)))
+            cols[out] = pa.array([v.as_py()], v.type)
+        return pa.table(cols)
+
+    parts = list(ds.map_batches(partial, batch_format="pyarrow",
+                                batch_size=None)
+                 .iter_batches(batch_format="pyarrow", batch_size=None))
+    res = {}
+    for out, _src, op in spec:
+        chunks = [p.column(out) for p in parts]
+        col = pa.chunked_array(chunks, chunks[0].type if chunks
+                               else pa.int64())
+        # partial counts combine by SUM; min/max stay idempotent
+        v = getattr(pc, "sum" if op in ("sum", "count") else op)(col)
+        res[out] = v.as_py() if v.is_valid else (0 if op == "count"
+                                                  else None)
+    return res
 
 
 def _ts_filter(col, op, iso):
@@ -344,7 +408,9 @@ def q1_pricing_summary(sf_dir: str):
 
 
 def q6_forecast_revenue(sf_dir: str):
-    """TPC-H Q6 flavor: pure scan + vectorized predicate + global sum."""
+    """TPC-H Q6 flavor: pure scan + vectorized predicate + global sum
+    (``_reduce``: per-block partials, no exchange). Over no qualifying
+    row it returns SQL's one row, revenue NULL and n_rows 0."""
     import pyarrow.compute as pc
 
     ds = read_testdata(sf_dir, "lineitem",
@@ -362,13 +428,12 @@ def q6_forecast_revenue(sf_dir: str):
         rev = pc.multiply(t.column("l_extendedprice"), t.column("l_discount"))
         return pa.table({"rev": rev})
 
-    from ray.data.aggregate import Count, Sum
-
-    agg = (ds.map_batches(f, batch_format="pyarrow")
-           .aggregate(Sum("rev", alias_name="revenue"),
-                      Count(alias_name="n_rows")))
-    return pd.DataFrame([{"revenue": round(agg["revenue"], 4),
-                          "n_rows": int(agg["n_rows"])}])
+    agg = _reduce(ds.map_batches(f, batch_format="pyarrow"),
+                  [("revenue", "rev", "sum"), ("n_rows", None, "count")])
+    rev = agg["revenue"]
+    return pd.DataFrame({
+        "revenue": np.array([np.nan if rev is None else round(rev, 4)]),
+        "n_rows": np.array([agg["n_rows"]], np.int64)})
 
 
 def q3_shipping_priority(sf_dir: str):
@@ -376,7 +441,7 @@ def q3_shipping_priority(sf_dir: str):
     qualification is a distributed LEFT SEMI hash join (``_dsjoin``) —
     no table, dimension or fact, is ever gathered to the driver (round-3
     fix; round 2 broadcast a frozenset of all BUILDING custkeys, O(SF)
-    driver state). Top-10 = per-batch partial top-k + tiny driver merge."""
+    driver state). Top-10 through ``_topk``."""
     cutoff = np.datetime64("1998-03-15", "us")
 
     bcust = read_testdata(sf_dir, "customer",
@@ -419,16 +484,10 @@ def q3_shipping_priority(sf_dir: str):
     agg = _preagg(li.map_batches(rev, batch_format="pandas"),
                   ["l_orderkey"], [("revenue", "revenue", "sum")])
     joined = _dsjoin(agg, orders, on=("l_orderkey",))
-
-    def topk(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["revenue"] = df["revenue"].round(4)  # round BEFORE top-k: ties
-        return df.sort_values(["revenue", "l_orderkey"],
-                              ascending=[False, True]).head(10)
-
-    parts = joined.map_batches(topk, batch_format="pandas").to_pandas()
-    df = parts.sort_values(["revenue", "l_orderkey"],
-                           ascending=[False, True]).head(10)
+    joined = joined.map_batches(  # round BEFORE top-k: ties
+        lambda df: df.assign(revenue=df["revenue"].round(4)),
+        batch_format="pandas")
+    df = _topk(joined, ["revenue", "l_orderkey"], [False, True], 10)
     return df[["l_orderkey", "revenue", "o_orderdate", "o_orderpriority"]]
 
 
@@ -544,25 +603,19 @@ def orders_per_segment(sf_dir: str):
 def top10_customers(sf_dir: str):
     """Top-10 customers by total order value. The per-customer aggregate is
     customer-cardinality (sf-proportional), so it is NEVER gathered whole:
-    per-block partial top-10 under the final (rounded revenue, custkey)
-    order → ≤ 10 × blocks rows reach the driver merge; c_name arrives via a
-    distributed filter on the 10 winning keys (round-2 fix of a round-1
-    leftover)."""
+    top-10 under the final (rounded revenue, custkey) order through
+    ``_topk``; c_name arrives via a distributed filter on the 10
+    winning keys (round-2 fix of a round-1 leftover)."""
     orders = read_testdata(sf_dir, "orders", columns=["o_custkey", "o_totalprice"])
     agg = _preagg(orders, ["o_custkey"], [
         ("revenue", "o_totalprice", "sum"),
         ("n_orders", None, "count"),
     ])
 
-    def topk(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["revenue"] = df["revenue"].round(4)  # round BEFORE top-k: ties
-        return df.sort_values(["revenue", "o_custkey"],
-                              ascending=[False, True]).head(10)
-
-    parts = agg.map_batches(topk, batch_format="pandas").to_pandas()
-    df = parts.sort_values(["revenue", "o_custkey"],
-                           ascending=[False, True]).head(10)
+    agg = agg.map_batches(  # round BEFORE top-k: ties
+        lambda df: df.assign(revenue=df["revenue"].round(4)),
+        batch_format="pandas")
+    df = _topk(agg, ["revenue", "o_custkey"], [False, True], 10)
     keys = set(df.o_custkey)
     cust = read_testdata(sf_dir, "customer", columns=["c_custkey", "c_name"])
 
@@ -611,13 +664,12 @@ def supplier_nation_balance(sf_dir: str):
 
 def q4_priority_semijoin(sf_dir: str):
     """TPC-H Q4-shaped EXISTS semi-join: count 1996H1 orders that have at
-    least one returned ('R') lineitem. The semi side is deduped FIRST
-    (distinct l_orderkey via groupby — the shuffle then carries one row per
-    qualifying order, not one per lineitem) and joined hash-partitioned;
+    least one returned ('R') lineitem. One ``_dsjoin`` LEFT SEMI join of
+    the orders against the returned lines' keys (a semi join keeps each
+    order once, however many lines match, so no dedup exchange runs);
     neither fact table touches the driver."""
     li = read_testdata(sf_dir, "lineitem", columns=["l_orderkey", "l_returnflag"])
-    li = li.filter(expr="l_returnflag == 'R'")
-    semi = li.groupby("l_orderkey").count().select_columns(["l_orderkey"])
+    semi = li.filter(expr="l_returnflag == 'R'").select_columns(["l_orderkey"])
 
     orders = read_testdata(sf_dir, "orders",
                            columns=["o_orderkey", "o_orderpriority",
@@ -628,11 +680,10 @@ def q4_priority_semijoin(sf_dir: str):
         _ts_filter("o_orderdate", "less", "1996-07-01"),
         batch_format="pyarrow")
 
-    semi = semi.rename_columns({"l_orderkey": "o_orderkey"})
-    joined = _dsjoin(orders, semi, on=("o_orderkey",))
-    agg = _preagg(joined.select_columns(["o_orderpriority"]),
-                  ["o_orderpriority"], [("n_orders", None, "count")])
-    return agg
+    joined = _dsjoin(orders, semi, on=("o_orderkey",),
+                     right_on=("l_orderkey",), join_type="left_semi")
+    return _preagg(joined.select_columns(["o_orderpriority"]),
+                   ["o_orderpriority"], [("n_orders", None, "count")])
 
 
 def q4_bloom_semijoin(sf_dir: str, p: int = 20):
@@ -641,9 +692,9 @@ def q4_bloom_semijoin(sf_dir: str, p: int = 20):
     is built distributed (per-block packed partials → one bitwise-OR
     map_groups level → tiny driver OR), broadcast once via ray.put, and
     probed INSIDE the lineitem scan — R-flag rows whose orderkey cannot be a
-    1996H1 order are dropped before the dedup shuffle, so the exchange
-    carries ~matching keys + false positives instead of every returned
-    lineitem. The final hash join is exact, so FPs never leak into the
+    1996H1 order are dropped before the join, so its exchange carries
+    ~matching keys + false positives instead of every returned lineitem.
+    The final LEFT SEMI ``_dsjoin`` is exact, so FPs never leak into the
     result (same oracle as q4_priority_semijoin)."""
     import ray
 
@@ -693,10 +744,9 @@ def q4_bloom_semijoin(sf_dir: str, p: int = 20):
         keep = pd.unique(keys[bf.might_contain(bits, keys)])
         return pd.DataFrame({"o_orderkey": keep})
 
-    semi = (li.map_batches(probe, batch_format="pandas")
-            .groupby("o_orderkey").count().select_columns(["o_orderkey"]))
     joined = _dsjoin(orders.select_columns(["o_orderkey", "o_orderpriority"]),
-                     semi, on=("o_orderkey",))
+                     li.map_batches(probe, batch_format="pandas"),
+                     on=("o_orderkey",), join_type="left_semi")
     return _preagg(joined.select_columns(["o_orderpriority"]),
                    ["o_orderpriority"], [("n_orders", None, "count")])
 
@@ -996,22 +1046,8 @@ def events_top_values(sf_dir: str):
         return t.set_column(t.schema.get_field_index("value"), "value",
                             pc.round(t.column("value"), ndigits=6))
 
-    ev = ev.map_batches(rnd, batch_format="pyarrow")
-
-    # per-block partial top-k first: the global sort then moves only
-    # n_blocks × k rows instead of the whole table (O1/O2 at scale — a full
-    # distributed sort for a top-100 is an all-to-all on every row)
-    def topk_block(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        k = min(100, t.num_rows)
-        idx = pc.select_k_unstable(
-            t, k=k, sort_keys=[("value", "descending"),
-                               ("event_id", "ascending")])
-        return t.take(idx)
-
-    ev = ev.map_batches(topk_block, batch_format="pyarrow")
-    return ev.sort(["value", "event_id"], descending=[True, False]).limit(100)
+    return _topk(ev.map_batches(rnd, batch_format="pyarrow"),
+                 ["value", "event_id"], [False, True], 100)
 
 
 def events_value_percentiles(sf_dir: str):
@@ -1416,14 +1452,17 @@ def events_zscore_outliers(sf_dir: str, z: float = 3.0):
     std = np.sqrt(m.sv2 / m.n - mean * mean)
     stats = {t: (mu, sd) for t, mu, sd in zip(m.event_type, mean, std)}
 
-    def flag(df: pd.DataFrame) -> pd.DataFrame:
+    # arrow output: a typed string column keeps a zero-row block's size
+    # estimate (Ray cannot size a zero-row pandas object column)
+    def flag(df: pd.DataFrame) -> pa.Table:
         mu = df.event_type.map({t: v[0] for t, v in stats.items()})
         sd = df.event_type.map({t: v[1] for t, v in stats.items()})
-        zs = ((df.value - mu) / sd).round(6)
-        out = pd.DataFrame({"event_id": df.event_id,
-                            "event_type": df.event_type,
-                            "zscore": zs})
-        return out[np.abs(zs.to_numpy()) > z]
+        zs = ((df.value - mu) / sd).round(6).to_numpy(np.float64)
+        keep = np.abs(zs) > z
+        return pa.table({
+            "event_id": df.event_id.to_numpy(np.int64)[keep],
+            "event_type": pa.array(df.event_type[keep], pa.string()),
+            "zscore": zs[keep]})
 
     return ev.map_batches(flag, batch_format="pandas")
 
@@ -1584,27 +1623,10 @@ def _query_vec(sf_dir):
 def ann_topk_cosine(sf_dir: str):
     """Brute-force cosine top-10 vs the min-vec_id query vector; the baseline
     ANN path (numpy matmul per batch against a broadcast query)."""
+    from ..stages.ann import _cosine_topk
+
     qid, q = _query_vec(sf_dir)
-    qnorm = np.sqrt((q * q).sum())
-    emb = read_testdata(sf_dir, "embeddings", columns=["vec_id", "embedding"])
-
-    def score(df: pd.DataFrame) -> pd.DataFrame:
-        M = np.stack(df.embedding.to_numpy()).astype(np.float64)
-        norms = np.sqrt((M * M).sum(axis=1))
-        den = np.where(norms == 0, 1.0, norms) * qnorm
-        sims = np.round((M @ q) / den, 6)
-        out = pd.DataFrame({"vec_id": df.vec_id, "cosine_sim": sims})
-        out = out[out.vec_id != qid]
-        # per-batch partial top-k under the FINAL total order — the global
-        # top-10 is a subset of the per-batch top-10s, so only ≤10 rows per
-        # block reach the driver merge (round-1 fix: no full-score gather)
-        return out.sort_values(["cosine_sim", "vec_id"],
-                               ascending=[False, True]).head(10)
-
-    parts = emb.map_batches(score, batch_format="pandas").to_pandas()
-    df = parts.sort_values(["cosine_sim", "vec_id"],
-                           ascending=[False, True]).head(10)
-    return df.reset_index(drop=True)
+    return _cosine_topk([testdata_path(sf_dir, "embeddings")], q, 10, qid)
 
 
 def ann_knn_join(sf_dir: str, n_queries: int = 32, k: int = 5):
@@ -2250,7 +2272,9 @@ def image_phash_near_dup(sf_dir: str, max_hamming: int = 3):
         out["kbucket"] = ((out["key"] * 4 + out["band"]) % nb).astype(np.int64)
         return out
 
-    def pairs_in_bucket(df: pd.DataFrame) -> pd.DataFrame:
+    # arrow output: typed string columns keep a zero-row block's size
+    # estimate (Ray cannot size a zero-row pandas object column)
+    def pairs_in_bucket(df: pd.DataFrame) -> pa.Table:
         # singleton pre-filter + FIRST-BAND dedup (round 4, same rule as
         # dedup_simhash_pairs: earlier bands derive from the phash already
         # on the row, so emissions are globally unique at zero extra
@@ -2272,11 +2296,10 @@ def image_phash_near_dup(sf_dir: str, max_hamming: int = 3):
                     if first == band:
                         rows.append((str(ids[i]), str(ids[i + 1 + j]),
                                      int(d[j])))
-        if not rows:
-            return pd.DataFrame({"img_a": pd.Series(dtype=object),
-                                 "img_b": pd.Series(dtype=object),
-                                 "hamming": pd.Series(dtype=np.int64)})
-        return pd.DataFrame(rows, columns=["img_a", "img_b", "hamming"])
+        a, b, h = zip(*rows) if rows else ((), (), ())
+        return pa.table({"img_a": pa.array(a, pa.string()),
+                         "img_b": pa.array(b, pa.string()),
+                         "hamming": pa.array(h, pa.int64())})
 
     # pairs are globally unique by the first-band rule — no dedup exchange
     return (imgs.map_batches(band_rows, batch_format="pandas")
@@ -2470,12 +2493,14 @@ def _verify_jaccard_pairs(sf_dir: str, cand, threshold: float):
     docs, _ = _spread_read(sf_dir, "documents", ["doc_id", "text"],
                            rows_per_block=768)
 
-    def bloom_probe(df: pd.DataFrame, _b=bloom_ref) -> pd.DataFrame:
+    # arrow in and out: the typed text column keeps a zero-row block's
+    # size estimate (Ray cannot size a zero-row pandas object column)
+    def bloom_probe(t: pa.Table, _b=bloom_ref) -> pa.Table:
         bits = ray.get(_b) if isinstance(_b, ray.ObjectRef) else _b
-        keys = df.doc_id.to_numpy(np.int64)
-        return df[bf.might_contain(bits, keys)]
+        keys = t.column("doc_id").to_numpy().astype(np.int64)
+        return t.filter(pa.array(bf.might_contain(bits, keys)))
 
-    cdocs = docs.map_batches(bloom_probe, batch_format="pandas")
+    cdocs = docs.map_batches(bloom_probe, batch_format="pyarrow")
     sh_rows = cdocs.map_batches(cand_shingles, batch_format="pandas")
     pair_rows = cand.map_batches(explode_pairs, batch_format="pandas")
 
@@ -2909,8 +2934,8 @@ def doc_repetition_stats(sf_dir: str):
 def doc_vocab_topk(sf_dir: str):
     """Corpus vocabulary build (tokenizer-training prep): top-100 words by
     total count, ties broken by word asc. Per-block value_counts partials →
-    hash-partition word-sum (_preagg) → per-block top-k → tiny global sort:
-    the shuffle moves one row per (word × block), never the token stream."""
+    hash-partition word-sum (_preagg) → ``_topk``: the shuffle moves one
+    row per (word × block), never the token stream."""
     docs = read_testdata(sf_dir, "documents", columns=["text"])
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
@@ -2920,13 +2945,7 @@ def doc_vocab_topk(sf_dir: str):
 
     pds = docs.map_batches(partial, batch_format="pandas", batch_size=None)
     agg = _preagg(pds, ["word"], [("cnt", "cnt", "sum")])
-
-    def topk(df: pd.DataFrame) -> pd.DataFrame:
-        return df.sort_values(["cnt", "word"], ascending=[False, True],
-                              kind="stable").head(100)
-
-    agg = agg.map_batches(topk, batch_format="pandas", batch_size=None)
-    return agg.sort(["cnt", "word"], descending=[True, False]).limit(100)
+    return _topk(agg, ["cnt", "word"], [False, True], 100)
 
 
 def doc_vocab_topk_mg(sf_dir: str, k: int = 100, capacity: int = 400):
@@ -2984,14 +3003,7 @@ def doc_vocab_topk_mg(sf_dir: str, k: int = 100, capacity: int = 400):
     pds2 = docs.map_batches(exact_partial, batch_format="pandas",
                             batch_size=None)
     agg = _preagg(pds2, ["word"], [("cnt", "cnt", "sum")])
-
-    def topk_block(df: pd.DataFrame) -> pd.DataFrame:
-        return df.sort_values(["cnt", "word"], ascending=[False, True],
-                              kind="stable").head(k)
-
-    agg = agg.map_batches(topk_block, batch_format="pandas", batch_size=None)
-    out = agg.sort(["cnt", "word"], descending=[True, False]).limit(k)
-    df = out.to_pandas()
+    df = _topk(agg, ["cnt", "word"], [False, True], k)
     assert int(df.cnt.iloc[-1]) >= ck, "MG certification violated"
     return df
 
@@ -3267,8 +3279,7 @@ def q10_returned_items(sf_dir: str):
     """TPC-H Q10-shaped returned-item report: top 20 customers by revenue
     lost to returns ('R' lineitems) on 1996-Q3 orders. Three distributed
     stages — lineitem preagg by order, ⋈ date-filtered orders, re-agg by
-    customer — then a distributed join against customer and a per-block
-    top-k with a tiny driver merge."""
+    customer — then a distributed join against customer and ``_topk``."""
     nmap = _nation_names(sf_dir)
     li = read_testdata(sf_dir, "lineitem",
                        columns=["l_orderkey", "l_returnflag",
@@ -3304,16 +3315,11 @@ def q10_returned_items(sf_dir: str):
     joined = _dsjoin(per_cust, cust, on=("o_custkey",),
                      right_on=("c_custkey",))
 
-    def topk(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["revenue"] = df.revenue.round(4)
-        df["n_name"] = df.c_nationkey.map(nmap)
-        return df.sort_values(["revenue", "o_custkey"],
-                              ascending=[False, True]).head(20)
-
-    parts = joined.map_batches(topk, batch_format="pandas").to_pandas()
-    df = parts.sort_values(["revenue", "o_custkey"],
-                           ascending=[False, True]).head(20)
+    joined = joined.map_batches(  # round BEFORE top-k: ties
+        lambda df: df.assign(revenue=df.revenue.round(4),
+                             n_name=df.c_nationkey.map(nmap)),
+        batch_format="pandas")
+    df = _topk(joined, ["revenue", "o_custkey"], [False, True], 20)
     df = df.rename(columns={"o_custkey": "c_custkey"})
     return df[["c_custkey", "c_name", "revenue", "c_acctbal",
                "n_name"]].reset_index(drop=True)
@@ -3636,8 +3642,8 @@ def sample_join_uniform(sf_dir: str, k: int = 200):
     sample reproducible across runs/partitionings and give the SQL oracle
     bit-exact parity (ORDER BY md5(...) LIMIT k over the real join).
 
-    Plan: per-block partial top-k by priority (shuffle ≤ k × blocks rows,
-    never the fact table) → bounded driver merge → broadcast the k sampled
+    Plan: top-k by priority through ``_topk`` (per-block top-k, ≤ 2k rows
+    on the driver, never the fact table) → broadcast the k sampled
     orderkeys → distributed filter of orders → tiny join."""
     import hashlib
 
@@ -3647,16 +3653,14 @@ def sample_join_uniform(sf_dir: str, k: int = 200):
     # (l_orderkey, l_linenumber) is NOT unique in the synthetic data, so
     # the priority hashes every output-determining column — tied priorities
     # are then value-identical rows and either engine's pick compares equal.
-    def topk(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["hx"] = [hashlib.md5(
+    def priority(df: pd.DataFrame) -> pd.DataFrame:
+        return df.assign(hx=[hashlib.md5(
             f"joinsamp:{int(o)}:{int(n)}:{int(q)}".encode()).hexdigest()
             for o, n, q in zip(df.l_orderkey, df.l_linenumber,
-                               df.l_quantity)]
-        return df.sort_values(["hx", "l_orderkey", "l_linenumber"]).head(k)
+                               df.l_quantity)])
 
-    parts = li.map_batches(topk, batch_format="pandas").to_pandas()
-    samp = parts.sort_values(["hx", "l_orderkey", "l_linenumber"]).head(k)
+    samp = _topk(li.map_batches(priority, batch_format="pandas"),
+                 ["hx", "l_orderkey", "l_linenumber"], [True, True, True], k)
     keys = set(samp.l_orderkey)
 
     orders = read_testdata(sf_dir, "orders",
@@ -3723,30 +3727,26 @@ def sample_weighted(sf_dir: str, k: int = 20):
     uniform, w = l_quantity — heavier rows proportionally likelier, yet the
     sample is reproducible across runs/partitionings and both engines
     compute the BIT-EXACT same double key (verified: pow parity holds).
-    Per-block partial top-k (the shuffle carries ≤ k × blocks rows) →
-    bounded driver merge."""
+    Top-k by priority through ``_topk`` (per-block top-k, ≤ 2k rows on
+    the driver)."""
     import hashlib
 
     li = read_testdata(sf_dir, "lineitem",
                        columns=["l_orderkey", "l_linenumber", "l_quantity"])
 
-    def topk(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
+    def priority(df: pd.DataFrame) -> pd.DataFrame:
         # SCALAR pow inside the (already per-row) md5 loop: numpy's
         # vectorized pow and libm's scalar pow disagree by 1 ulp on some
         # inputs, and DuckDB uses libm — scalar keeps the priority keys
         # BIT-EXACT across both engines (round-4 sf0.1 finding)
-        df["wkey"] = [
+        return df.assign(wkey=[
             (int(hashlib.md5(f"ws:{int(o)}:{int(n)}:{int(q)}".encode())
                  .hexdigest()[:8], 16) / 4294967296.0) ** (1.0 / float(q))
             for o, n, q in zip(df.l_orderkey, df.l_linenumber,
-                               df.l_quantity)]
-        return df.sort_values(["wkey", "l_orderkey", "l_linenumber"],
-                              ascending=[False, True, True]).head(k)
+                               df.l_quantity)])
 
-    parts = li.map_batches(topk, batch_format="pandas").to_pandas()
-    out = parts.sort_values(["wkey", "l_orderkey", "l_linenumber"],
-                            ascending=[False, True, True]).head(k)
+    out = _topk(li.map_batches(priority, batch_format="pandas"),
+                ["wkey", "l_orderkey", "l_linenumber"], [False, True, True], k)
     out["wkey"] = out.wkey.round(6)
     return out[["l_orderkey", "l_linenumber", "l_quantity",
                 "wkey"]].reset_index(drop=True)
@@ -3945,18 +3945,10 @@ def q21_waiting_suppliers(sf_dir: str, k: int = 10):
                 .map_groups(lambda df: blame(df.drop(columns=["_pk"])),
                             batch_format="pandas"))
     cnt = _preagg(blamed, ["l_suppkey"], [("numwait", None, "count")])
-
-    # per-block partial top-k so the driver merges ≤ blocks × k rows, not the
-    # full supplier-level aggregate (sf-proportional at scale)
-    def topk_block(df: pd.DataFrame) -> pd.DataFrame:
-        return df.sort_values(["numwait", "l_suppkey"],
-                              ascending=[False, True]).head(k)
-
-    cnt = cnt.map_batches(topk_block, batch_format="pandas").to_pandas()
-    cnt["numwait"] = cnt.numwait.astype(np.int64)
-    return (cnt.sort_values(["numwait", "l_suppkey"],
-                            ascending=[False, True])
-            .head(k).reset_index(drop=True))
+    # never the full supplier-level aggregate (sf-proportional at scale)
+    df = _topk(cnt, ["numwait", "l_suppkey"], [False, True], k)
+    df["numwait"] = df.numwait.astype(np.int64)
+    return df
 
 
 def events_cube(sf_dir: str):
@@ -4312,8 +4304,8 @@ def q2_min_cost_supplier(sf_dir: str):
     Scale shape: nation/region are FIXED-size tables (25/5 rows) →
     broadcast dicts; supplier and partsupp are SF-proportional → filtered
     scans + hash-partition joins (never gathered); the min-cost qualifier
-    is a distributed min + integer-key re-join; only ≤100×blocks partial
-    top-k rows reach the driver."""
+    is a distributed min + integer-key re-join; the top-100 runs through
+    ``_topk``."""
     nat = read_testdata(sf_dir, "nation").to_pandas()      # 25 rows, fixed
     reg = read_testdata(sf_dir, "region").to_pandas()      # 5 rows, fixed
     eu_keys = set(nat.merge(reg, left_on="n_regionkey",
@@ -4355,16 +4347,10 @@ def q2_min_cost_supplier(sf_dir: str):
         on=("p_partkey", "ps_cost_cents"),
         right_on=("m_partkey", "ps_cost_cents"))
 
-    def topk(df: pd.DataFrame) -> pd.DataFrame:
-        return df.sort_values(["s_acctbal", "n_name", "s_name", "p_partkey"],
-                              ascending=[False, True, True, True]).head(100)
-
-    parts = best.select_columns(
-        ["s_acctbal", "s_name", "n_name", "p_partkey", "ps_cost_cents"]) \
-        .map_batches(topk, batch_format="pandas").to_pandas()
-    out = parts.sort_values(["s_acctbal", "n_name", "s_name", "p_partkey"],
-                            ascending=[False, True, True, True]) \
-        .head(100).reset_index(drop=True)
+    out = _topk(best.select_columns(
+        ["s_acctbal", "s_name", "n_name", "p_partkey", "ps_cost_cents"]),
+        ["s_acctbal", "n_name", "s_name", "p_partkey"],
+        [False, True, True, True], 100)
     out["min_cost"] = out.ps_cost_cents.to_numpy(np.float64) / 100.0
     return out[["s_acctbal", "s_name", "n_name", "p_partkey", "min_cost"]]
 
@@ -5453,13 +5439,13 @@ def doc_bigram_pmi(sf_dir: str, k: int = 100, min_cnt: int = 3):
     hash(w1) (unigrams ride the same exchange keyed hash(w)) to total cxy,
     attach c1, and min_cnt-filter; re-key survivors by hash(w2) (unigram
     totals re-emitted to their own — identical — bucket) to attach c2.
-    Per-bucket top-k bounds the final sort to ≤ k·nbk rows.
+    The top-k by (r DESC, w1, w2) runs through ``_topk``.
 
     Float parity: the ordering key r = (cxy·N)/(c1·c2) is ONE IEEE divide
     of two exactly-converted int64 products (both < 2^53 at any sf this
     sandbox reaches; at 100 TB switch the compare to int128
     cross-multiplication) — bit-identical across engines, exact ties fall
-    to (w1, w2); ln is applied scalar-libm only to the ≤ k·nbk survivors."""
+    to (w1, w2); ln is applied scalar-libm only to the k survivors."""
     import math
 
     docs, nd = _spread_read(sf_dir, "documents", ["doc_id", "text"])
@@ -5508,37 +5494,24 @@ def doc_bigram_pmi(sf_dir: str, k: int = 100, min_cnt: int = 3):
                      % nbk).astype(np.int64)
         return out
 
-    def attach_c2_topk(g: pd.DataFrame) -> pd.DataFrame:
+    def attach_c2(g: pd.DataFrame) -> pd.DataFrame:
         uni = g[g.kind == 0].set_index("w1")["cxy"]
         big = g[g.kind == 1]
-        if len(big) == 0:
-            return pd.DataFrame({"w1": pd.Series([], dtype=object),
-                                 "w2": pd.Series([], dtype=object),
-                                 "cxy": pd.Series([], dtype=np.int64),
-                                 "c1": pd.Series([], dtype=np.int64),
-                                 "c2": pd.Series([], dtype=np.int64),
-                                 "r": pd.Series([], dtype=np.float64),
-                                 "pmi": pd.Series([], dtype=np.float64)})
         c2 = uni.reindex(big.w2).to_numpy(np.int64)
         num = (big.cxy.to_numpy(np.int64) * n_tok).astype(np.float64)
         den = (big.c1.to_numpy(np.int64) * c2).astype(np.float64)
-        out = pd.DataFrame({"w1": big.w1.to_numpy(object),
-                            "w2": big.w2.to_numpy(object),
-                            "cxy": big.cxy.to_numpy(np.int64),
-                            "c1": big.c1.to_numpy(np.int64), "c2": c2,
-                            "r": num / den})
-        out = out.sort_values(["r", "w1", "w2"],
-                              ascending=[False, True, True],
-                              kind="mergesort").head(k)
-        out["pmi"] = np.array([round(math.log(v), 6) for v in out.r],
-                              dtype=np.float64)
-        return out[["w1", "w2", "cxy", "c1", "c2", "r", "pmi"]]
+        return pd.DataFrame({"w1": big.w1.to_numpy(object),
+                             "w2": big.w2.to_numpy(object),
+                             "cxy": big.cxy.to_numpy(np.int64),
+                             "c1": big.c1.to_numpy(np.int64), "c2": c2,
+                             "r": num / den})
 
-    return (slim.groupby("bk").map_groups(attach_c1, batch_format="pandas")
-            .groupby("bk").map_groups(attach_c2_topk, batch_format="pandas")
-            .sort(["r", "w1", "w2"], descending=[True, False, False])
-            .limit(k)
-            .select_columns(["w1", "w2", "cxy", "c1", "c2", "pmi"]))
+    out = _topk(slim.groupby("bk").map_groups(attach_c1, batch_format="pandas")
+                .groupby("bk").map_groups(attach_c2, batch_format="pandas"),
+                ["r", "w1", "w2"], [False, True, True], k)
+    out["pmi"] = np.array([round(math.log(v), 6) for v in out.r],
+                          dtype=np.float64)
+    return out[["w1", "w2", "cxy", "c1", "c2", "pmi"]]
 
 
 def events_funnel(sf_dir: str):
@@ -5743,7 +5716,7 @@ def market_basket_pairs(sf_dir: str, min_cnt: int = 2, k: int = 100):
     lines (order size is bounded — TPC-H ≤ 7 — so the in-bucket self-merge
     explosion is O(lines × order_size), never quadratic in the corpus);
     pair partials pre-aggregate in the same pass, then one pair-hash
-    _preagg and a per-block top-k ahead of the tiny global sort."""
+    _preagg and ``_topk``."""
     li, nl = _spread_read(sf_dir, "lineitem", ["l_orderkey", "l_partkey"])
     nbk = _nbuckets(nl, rows_per_bucket=8192, lo=32)
 
@@ -5768,15 +5741,9 @@ def market_basket_pairs(sf_dir: str, min_cnt: int = 2, k: int = 100):
         .groupby("bk").map_groups(pairs, batch_format="pandas"),
         ["p1", "p2"], [("n", "n", "sum")])
 
-    def topk(df: pd.DataFrame) -> pd.DataFrame:
-        df = df[df.n >= min_cnt]
-        return df.sort_values(["n", "p1", "p2"],
-                              ascending=[False, True, True],
-                              kind="mergesort").head(k)
-
-    return (agg.map_batches(topk, batch_format="pandas", batch_size=None)
-            .sort(["n", "p1", "p2"], descending=[True, False, False])
-            .limit(k))
+    return _topk(agg.map_batches(lambda df: df[df.n >= min_cnt],
+                                 batch_format="pandas"),
+                 ["n", "p1", "p2"], [False, True, True], k)
 
 
 def _copurchase_edges(sf_dir: str, min_orders: int = 2):
@@ -5838,7 +5805,7 @@ def graph_triangles(sf_dir: str, min_orders: int = 2, k: int = 100):
          edge set keyed hash(p1, p2); the in-bucket merge keeps wedges
          whose closing edge exists → triangles (a, b, c), reduced to
          per-node count partials before leaving the bucket.
-      4. node-hash `_preagg` + per-block top-k + tiny global sort.
+      4. node-hash `_preagg` + ``_topk``.
     The wedge count is Σ deg(v)² over low endpoints — the documented skew
     term; hub nodes would need degree-ordered orientation, which changes
     no output (the SQL oracle is orientation-free) and can be swapped in
@@ -5886,14 +5853,7 @@ def graph_triangles(sf_dir: str, min_orders: int = 2, k: int = 100):
         .map_groups(close_and_count, batch_format="pandas"),
         ["p"], [("n_tri", "n_tri", "sum")])
 
-    def topk(df: pd.DataFrame) -> pd.DataFrame:
-        return df.sort_values(["n_tri", "p"], ascending=[False, True],
-                              kind="mergesort").head(k)
-
-    return (counts.map_batches(topk, batch_format="pandas",
-                               batch_size=None)
-            .sort(["n_tri", "p"], descending=[True, False])
-            .limit(k))
+    return _topk(counts, ["n_tri", "p"], [False, True], k)
 
 
 def graph_pagerank(sf_dir: str, iters: int = 5, damping: float = 0.85,
@@ -6033,16 +5993,12 @@ def graph_pagerank(sf_dir: str, iters: int = 5, damping: float = 0.85,
             lambda df: df, batch_format="pandas")
 
     def finish(df: pd.DataFrame) -> pd.DataFrame:
-        out = pd.DataFrame({
+        return pd.DataFrame({
             "part_id": df.key.to_numpy(np.int64),
             "score": np.round(df.pr.to_numpy(np.float64) * nf, 6)})
-        return out.sort_values(["score", "part_id"],
-                               ascending=[False, True],
-                               kind="mergesort").head(k)
 
-    return (pr.map_batches(finish, batch_format="pandas", batch_size=None)
-            .sort(["score", "part_id"], descending=[True, False])
-            .limit(k))
+    return _topk(pr.map_batches(finish, batch_format="pandas"),
+                 ["score", "part_id"], [False, True], k)
 
 
 def image_footprint_overlaps(sf_dir: str):
@@ -7492,7 +7448,7 @@ def _cc_label_prop(labels, edges, n_nodes: int, n_edges: int,
              .repartition(_nbuckets(n_edges, rows_per_bucket=500_000, lo=8))
              .materialize())
     labels = labels.repartition(lbl_blocks).materialize()
-    prev = labels.sum("lbl")
+    prev = _reduce(labels, [("s", "lbl", "sum")])["s"]
     for _ in range(max_rounds):
         prop = (erows.union(labels.map_batches(label_rows,
                                                batch_format="pandas"))
@@ -7520,7 +7476,7 @@ def _cc_label_prop(labels, edges, n_nodes: int, n_edges: int,
         import ray.data as _rd
 
         labels = _rd.from_arrow_refs(labels.to_arrow_refs())
-        cur = labels.sum("lbl")
+        cur = _reduce(labels, [("s", "lbl", "sum")])["s"]
         if os.environ.get("GRAFT_CC_TRACE"):
             print(f"[cc] round sum={cur}", flush=True)
         if cur == prev:
@@ -7594,7 +7550,8 @@ def geo_dbscan_clusters(sf_dir: str, eps: float = _DBS_EPS,
        12,000-event geo_grid_queries input (seed 1) and 13,048 at sf0.1.
     3. ONE row-wise map looks each home point's rep up in that table,
        broadcast as its block refs (never landing on the driver); points
-       whose rep is absent are noise.
+       whose rep is absent are noise. An empty table (its block metadata
+       row count, no job) means every point is noise: typed zero rows.
 
     Row-scaled graphs (doc_dup_clusters) keep the distributed
     _cc_label_prop loop. Rows-only vs the driver (CC is not tractable
@@ -7690,18 +7647,17 @@ def geo_dbscan_clusters(sf_dir: str, eps: float = _DBS_EPS,
             "lbl": np.concatenate([lbl, bmin.to_numpy(np.int64)])[o],
             "is_core": (np.arange(len(rep)) < len(core))[o]})
 
-    tbl_refs = (mixed.filter(expr="kind != 0")
-                .repartition(1)
-                .map_batches(cc_task, batch_format="pandas",
-                             batch_size=None)
-                .materialize().to_arrow_refs())
+    tbl = (mixed.filter(expr="kind != 0")
+           .repartition(1)
+           .map_batches(cc_task, batch_format="pandas", batch_size=None)
+           .materialize())
+    if tbl.count() == 0:  # block metadata: no core position, all noise
+        return _no_rows(event_id=np.int64, cluster_id=np.int64, is_core=bool)
+    tbl_refs = tbl.to_arrow_refs()
 
     def label(df: pd.DataFrame, _refs=tbl_refs) -> pd.DataFrame:
-        tbls = [t for t in ray.get(list(_refs)) if t.num_rows]
-        if not tbls:  # no core position: every point is noise
-            return _no_rows(event_id=np.int64, cluster_id=np.int64,
-                            is_core=bool)
-        tbl = pa.concat_tables(tbls)
+        tbl = pa.concat_tables([t for t in ray.get(list(_refs))
+                                if t.num_rows])
         reps = tbl.column("rep").to_numpy()
         df = df[df.kind.to_numpy() == 0]
         rep = df.b.to_numpy(np.int64)
@@ -7985,10 +7941,11 @@ def geo_emerging_hotspots(sf_dir: str):
     vs the SQL oracle. Output (tile_x, tile_y, n_events, mk_s, trend).
 
     Scale shape: ONE pre-aggregated (tile, day) census exchange (bounded
-    by tiles × days — domain × span, not rows), an O(1) day-range
-    aggregate broadcast as two scalars, then a per-tile vectorized
-    sign-matrix reduction over the dense day vector (days are bounded by
-    the time span; the quadratic term is span², never rows)."""
+    by tiles × days — domain × span, not rows), the day range as two
+    scalars from per-block partials (``_reduce``, no exchange), then a
+    per-tile vectorized sign-matrix reduction over the dense day vector
+    (days are bounded by the time span; the quadratic term is span²,
+    never rows). No events give typed zero rows."""
     ev = read_testdata(sf_dir, "events", columns=["event_id", "ts"])
     DAY_US = np.int64(86_400_000_000)
 
@@ -8002,8 +7959,11 @@ def geo_emerging_hotspots(sf_dir: str):
     cen = _preagg(ev.map_batches(keyed, batch_format="pandas"),
                   ["tile_x", "tile_y", "day"],
                   [("n", None, "count")]).materialize()
-    d0 = int(cen.min("day"))
-    d1 = int(cen.max("day"))
+    d0, d1 = _reduce(cen, [("d0", "day", "min"),
+                           ("d1", "day", "max")]).values()
+    if d0 is None:
+        return _no_rows(tile_x=np.int64, tile_y=np.int64, n_events=np.int64,
+                        mk_s=np.int64, trend=object)
     ndays = d1 - d0 + 1
 
     def mk(g: pd.DataFrame) -> pd.DataFrame:
@@ -8038,8 +7998,9 @@ def events_cusum_changepoint(sf_dir: str):
     argmax tie-break is therefore deterministic on both sides.
 
     Scale shape: one (type, day) pre-aggregated census exchange bounded
-    by |types| × span; per-type dense vectors bounded by the time span,
-    reduced vectorized."""
+    by |types| × span, the day range from per-block partials
+    (``_reduce``, no exchange); per-type dense vectors bounded by the
+    time span, reduced vectorized. No events give typed zero rows."""
     ev = read_testdata(sf_dir, "events", columns=["event_type", "ts"])
     DAY_US = np.int64(86_400_000_000)
 
@@ -8049,8 +8010,11 @@ def events_cusum_changepoint(sf_dir: str):
 
     cen = _preagg(ev.map_batches(keyed, batch_format="pandas"),
                   ["event_type", "day"], [("n", None, "count")]).materialize()
-    d0 = int(cen.min("day"))
-    d1 = int(cen.max("day"))
+    d0, d1 = _reduce(cen, [("d0", "day", "min"),
+                           ("d1", "day", "max")]).values()
+    if d0 is None:
+        return _no_rows(event_type=object, cp_day=np.int64,
+                        cusum_at_cp=np.float64, mean_daily=np.float64)
     ndays = d1 - d0 + 1
 
     def cusum(g: pd.DataFrame) -> pd.DataFrame:
@@ -8921,9 +8885,9 @@ def image_duplicate_tiles(sf_dir: str, tile: int = 64, topk: int = 100):
     Scale shape: zero-exchange decode+hash inside map_batches; per-block
     partials emit block-distinct (hash, image) pairs + chip counts, then
     two `_preagg` stages (distinct-image contraction → hash rollup) —
-    the events_table_profile distinct-count pattern; only the bounded
-    top-k reaches the driver. Rows-only vs the driver (bytes are not
-    SQL-decodable); pinned by a brute-force pytest oracle."""
+    the events_table_profile distinct-count pattern — then ``_topk``.
+    Rows-only vs the driver (bytes are not SQL-decodable); pinned by a
+    brute-force pytest oracle."""
     import ray.data as rd
 
     from ..functions import codec as C
@@ -8952,14 +8916,9 @@ def image_duplicate_tiles(sf_dir: str, tile: int = 64, topk: int = 100):
     agg = _preagg(per_img, ["chip_hash"],
                   [("n_images", None, "count"), ("n_chips", "k", "sum")])
 
-    def topk_part(df: pd.DataFrame) -> pd.DataFrame:
-        df = df[df.n_images >= 2]
-        return df.sort_values(["n_chips", "chip_hash"],
-                              ascending=[False, True]).head(topk)
-
-    parts = agg.map_batches(topk_part, batch_format="pandas").to_pandas()
-    out = parts.sort_values(["n_chips", "chip_hash"],
-                            ascending=[False, True]).head(topk)
+    out = _topk(agg.map_batches(lambda df: df[df.n_images >= 2],
+                                batch_format="pandas"),
+                ["n_chips", "chip_hash"], [False, True], topk)
     return pd.DataFrame({
         "chip_hash": out.chip_hash.to_numpy(np.int64),
         "n_images": out.n_images.to_numpy(np.int64),

@@ -1,9 +1,10 @@
 """Similarity search over embedding columns: brute-force baseline + IVF
 and LSH scale paths.
 
-- Brute-force cosine top-k: numpy matmul per batch against a broadcast query
-  vector with per-batch partial top-k (the exact baseline; used by the
-  `ann_topk_cosine` driver query).
+- Brute-force cosine top-k (`_cosine_topk`): numpy matmul per batch
+  against a broadcast query vector, then the query layer's `_topk` (the
+  exact baseline of the `ann_topk_cosine` driver query; IVF and LSH search
+  run it over their probed files).
 - IVF (inverted-file) scale path — fully distributed (round-1 fix; nothing
   ever gathers the embedding table to the driver):
     build:  centroids are trained with deterministic seeded Lloyd k-means on
@@ -15,9 +16,9 @@ and LSH scale paths.
             (``write_parquet(partition_cols=["centroid"])``).
     search: the query probes the `nprobe` nearest centroids and reads ONLY
             those partition directories (partition pruning at the read —
-            a query touches nprobe/k of the data), scores distributed with
-            per-batch partial top-k, and merges ≤topk rows per block on the
-            driver.
+            a query touches nprobe/k of the data), scores distributed and
+            keeps the top k through `_topk` (per-block top-k, driver
+            merge).
   Partitioning assumption: centroid id is the layout/locality key; at
   cluster scale each list is a parquet prefix and probing is a pruned read.
 
@@ -40,6 +41,43 @@ import numpy as np
 import pandas as pd
 
 _IVF_CACHE_ROOT = "/tmp/graft_synth/ivf_cache"
+
+
+def _cosine_scores(q: np.ndarray, exclude_vec_id: int | None = None):
+    """Batch map: (vec_id, cosine_sim round-6) of each embedding row
+    against the query ``q``, without the row ``exclude_vec_id``."""
+    q = np.asarray(q, dtype=np.float64)
+    qn = np.sqrt((q * q).sum()) or 1.0
+
+    def score(df: pd.DataFrame) -> pd.DataFrame:
+        if df.empty:
+            return pd.DataFrame({"vec_id": pd.Series(dtype=np.int64),
+                                 "cosine_sim": pd.Series(dtype=float)})
+        M = np.stack(df.embedding.to_numpy()).astype(np.float64)
+        norms = np.sqrt((M * M).sum(1))
+        sims = np.round((M @ q) / (np.where(norms == 0, 1, norms) * qn), 6)
+        out = pd.DataFrame({"vec_id": df.vec_id.astype(np.int64),
+                            "cosine_sim": sims})
+        return out[out.vec_id != exclude_vec_id]
+
+    return score
+
+
+def _cosine_topk(paths: list, q: np.ndarray, topk: int,
+                 exclude_vec_id: int | None = None) -> pd.DataFrame:
+    """Exact cosine top-k (vec_id, cosine_sim) of the embedding rows in the
+    parquet files ``paths``, through the query layer's `_topk`."""
+    import ray.data as rd
+
+    from ..pipelines.queries import _topk
+
+    if not paths:
+        return pd.DataFrame({"vec_id": pd.Series(dtype=np.int64),
+                             "cosine_sim": pd.Series(dtype=float)})
+    scores = (rd.read_parquet(paths, columns=["vec_id", "embedding"])
+              .map_batches(_cosine_scores(q, exclude_vec_id),
+                           batch_format="pandas"))
+    return _topk(scores, ["cosine_sim", "vec_id"], [False, True], topk)
 
 
 def _sq_dists(X: np.ndarray, C: np.ndarray) -> np.ndarray:
@@ -140,8 +178,7 @@ def build_ivf_index(sf_dir: str, k: int = 16, seed: int = 42,
 def search_ivf(index_dir: str, q: np.ndarray, topk: int = 10,
                nprobe: int = 4, exclude_vec_id: int | None = None) -> pd.DataFrame:
     """Probe the `nprobe` nearest lists only (pruned partition read),
-    score distributed, per-batch partial top-k, tiny driver merge."""
-    import ray.data as rd
+    score distributed, top-k through `_topk`."""
     import pyarrow.parquet as pq
 
     ct = pq.read_table(os.path.join(index_dir, "centroids.parquet"))
@@ -156,27 +193,7 @@ def search_ivf(index_dir: str, q: np.ndarray, topk: int = 10,
     for j in probe:
         paths.extend(sorted(glob.glob(os.path.join(
             index_dir, "lists", f"centroid={int(j)}", "*.parquet"))))
-    if not paths:
-        return pd.DataFrame({"vec_id": pd.Series(dtype=np.int64),
-                             "cosine_sim": pd.Series(dtype=float)})
-    qn = np.sqrt((q * q).sum()) or 1.0
-
-    def score(df: pd.DataFrame) -> pd.DataFrame:
-        M = np.stack(df.embedding.to_numpy()).astype(np.float64)
-        norms = np.sqrt((M * M).sum(1))
-        sims = np.round((M @ q) / (np.where(norms == 0, 1, norms) * qn), 6)
-        out = pd.DataFrame({"vec_id": df.vec_id.astype(np.int64),
-                            "cosine_sim": sims})
-        if exclude_vec_id is not None:
-            out = out[out.vec_id != exclude_vec_id]
-        return out.sort_values(["cosine_sim", "vec_id"],
-                               ascending=[False, True]).head(topk)
-
-    parts = (rd.read_parquet(paths, columns=["vec_id", "embedding"])
-             .map_batches(score, batch_format="pandas").to_pandas())
-    return (parts.sort_values(["cosine_sim", "vec_id"],
-                              ascending=[False, True])
-            .head(topk).reset_index(drop=True))
+    return _cosine_topk(paths, q, topk, exclude_vec_id)
 
 
 def ann_ivf_topk(sf_dir: str, topk: int = 10, nprobe: int = 8, k: int = 16):
@@ -289,11 +306,10 @@ def search_lsh(index_dir: str, q: np.ndarray, topk: int = 10,
                exclude_vec_id: int | None = None) -> pd.DataFrame:
     """Probe only buckets within `max_hamming` bit flips of the query's key
     (pruned partition read — C(nbits, ≤max_hamming)/2^nbits of the table),
-    score distributed with per-batch partial top-k, tiny driver merge."""
+    score distributed, top-k through `_topk`."""
     import glob
 
     import pyarrow.parquet as pq
-    import ray.data as rd
 
     ht = pq.read_table(os.path.join(index_dir, "hyperplanes.parquet"))
     H = np.stack([np.asarray(v, dtype=np.float32)
@@ -306,27 +322,7 @@ def search_lsh(index_dir: str, q: np.ndarray, topk: int = 10,
     for k in _probe_keys(key, np.abs(proj), max_hamming):
         paths.extend(sorted(glob.glob(os.path.join(
             index_dir, "buckets", f"bucket={k}", "*.parquet"))))
-    if not paths:
-        return pd.DataFrame({"vec_id": pd.Series(dtype=np.int64),
-                             "cosine_sim": pd.Series(dtype=float)})
-    qn = np.sqrt((q * q).sum()) or 1.0
-
-    def score(df: pd.DataFrame) -> pd.DataFrame:
-        M = np.stack(df.embedding.to_numpy()).astype(np.float64)
-        norms = np.sqrt((M * M).sum(1))
-        sims = np.round((M @ q) / (np.where(norms == 0, 1, norms) * qn), 6)
-        out = pd.DataFrame({"vec_id": df.vec_id.astype(np.int64),
-                            "cosine_sim": sims})
-        if exclude_vec_id is not None:
-            out = out[out.vec_id != exclude_vec_id]
-        return out.sort_values(["cosine_sim", "vec_id"],
-                               ascending=[False, True]).head(topk)
-
-    parts = (rd.read_parquet(paths, columns=["vec_id", "embedding"])
-             .map_batches(score, batch_format="pandas").to_pandas())
-    return (parts.sort_values(["cosine_sim", "vec_id"],
-                              ascending=[False, True])
-            .head(topk).reset_index(drop=True))
+    return _cosine_topk(paths, q, topk, exclude_vec_id)
 
 
 def ann_lsh_topk(sf_dir: str, topk: int = 10, nbits: int = 8,
@@ -482,10 +478,15 @@ def build_pq_index(sf_dir: str, m: int = 16, ksub: int = 32, seed: int = 42,
 
 def search_pq(sf_dir: str, index_dir: str, q: np.ndarray, topk: int = 10,
               rerank: int = 64, exclude_vec_id: int | None = None) -> pd.DataFrame:
-    """ADC scan over the codes table (distributed, per-batch partial
-    top-`rerank`) → bounded driver merge → EXACT re-rank of the candidate
-    ids against the raw vectors via a distributed key filter."""
+    """ADC scan over the codes table (distributed) → top-`rerank`
+    candidates through `_topk` → EXACT re-rank of the candidate ids
+    against the raw vectors via a distributed key filter, top-k through
+    `_topk` again."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
     import ray.data as rd
+
+    from ..pipelines.queries import _topk
 
     books = np.load(os.path.join(index_dir, "codebooks.npy"))
     m, ksub, dsub = books.shape
@@ -504,35 +505,24 @@ def search_pq(sf_dir: str, index_dir: str, q: np.ndarray, topk: int = 10,
         sim = approx_dot / (np.where(norm == 0, 1, norm) * qn)
         out = pd.DataFrame({"vec_id": df.vec_id.astype(np.int64),
                             "approx_sim": sim})
-        if exclude_vec_id is not None:
-            out = out[out.vec_id != exclude_vec_id]
-        return out.sort_values(["approx_sim", "vec_id"],
-                               ascending=[False, True]).head(rerank)
+        return out[out.vec_id != exclude_vec_id]
 
-    parts = (rd.read_parquet(os.path.join(index_dir, "codes"))
-             .map_batches(adc, batch_format="pandas").to_pandas())
-    cand = set(parts.sort_values(["approx_sim", "vec_id"],
-                                 ascending=[False, True])
-               .head(rerank).vec_id)
+    approx = (rd.read_parquet(os.path.join(index_dir, "codes"))
+              .map_batches(adc, batch_format="pandas"))
+    cand = set(_topk(approx, ["approx_sim", "vec_id"], [False, True],
+                     rerank).vec_id)
 
     emb = rd.read_parquet(os.path.join(sf_dir, "embeddings.parquet"),
                           columns=["vec_id", "embedding"])
-
-    def exact(df: pd.DataFrame) -> pd.DataFrame:
-        df = df[df.vec_id.isin(cand)]
-        if df.empty:
-            return pd.DataFrame({"vec_id": pd.Series(dtype=np.int64),
-                                 "cosine_sim": pd.Series(dtype=float)})
-        M = np.stack(df.embedding.to_numpy()).astype(np.float64)
-        norms = np.sqrt((M * M).sum(1))
-        sims = np.round((M @ q) / (np.where(norms == 0, 1, norms) * qn), 6)
-        return pd.DataFrame({"vec_id": df.vec_id.astype(np.int64),
-                             "cosine_sim": sims})
-
-    ex = emb.map_batches(exact, batch_format="pandas").to_pandas()
-    return (ex.sort_values(["cosine_sim", "vec_id"],
-                           ascending=[False, True])
-            .head(topk).reset_index(drop=True))
+    ids = pa.array(sorted(cand), pa.int64())
+    # arrow filter: a zero-row list column keeps its type (Ray cannot size
+    # a zero-row pandas object column)
+    scores = (emb.map_batches(
+                  lambda t: t.filter(pc.is_in(t.column("vec_id"),
+                                              value_set=ids)),
+                  batch_format="pyarrow")
+              .map_batches(_cosine_scores(q), batch_format="pandas"))
+    return _topk(scores, ["cosine_sim", "vec_id"], [False, True], topk)
 
 
 def ann_pq_topk(sf_dir: str, topk: int = 10, m: int = 16, ksub: int = 32,
