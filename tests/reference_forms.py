@@ -20,8 +20,8 @@ parity checks compare two independent implementations row-for-row:
 
 Scalar and brute-force forms of engine kernels whose batched or indexed
 forms the engine runs: ``calibrate``, ``BruteKNN``, the per-document
-sketches, the per-resolution cell encoders and parents, ``decode_png`` and
-``psnr``.
+sketches, the per-resolution cell encoders and parents,
+``chip_content_hashes``, ``decode_png`` and ``psnr``.
 """
 
 from __future__ import annotations
@@ -216,6 +216,23 @@ def hex7_parent(cell_id):
 
 
 # --------------------------------------------------------------- codecs
+
+
+def chip_content_hashes(px: np.ndarray, tile: int) -> np.ndarray:
+    """Per-chip 64-bit content hash, chips in x-major order: each chip's
+    row-major pixels dotted with base**i mod 2^64, the powers built by a
+    scalar loop in Python ints."""
+    base, pw = 0x9E3779B97F4A7C15, [1]
+    for _ in range(1, tile * tile):
+        pw.append(pw[-1] * base % (1 << 64))
+    pw = np.array(pw, dtype=np.uint64)
+    out = []
+    for x in range(px.shape[1] // tile):
+        for y in range(px.shape[0] // tile):
+            chip = px[y * tile:(y + 1) * tile, x * tile:(x + 1) * tile]
+            with np.errstate(over="ignore"):
+                out.append((chip.astype(np.uint64).ravel() * pw).sum())
+    return np.array(out, dtype=np.uint64).view(np.int64)
 
 
 def decode_png(data: bytes):

@@ -1936,6 +1936,24 @@ class TestRound5Crafted:
         assert by["out"] == 1.0                 # outlier-immune
 
 
+def test_chip_hashes_match_loop_form_without_warning():
+    """The vectorized power vector gives the hashes of the scalar loop on
+    random images, and wraps mod 2^64 without an overflow warning."""
+    import warnings
+
+    import reference_forms as ref
+
+    from tiff_enrichment_pipeline_ray.pipelines import queries as Q
+
+    rng = np.random.default_rng(7)
+    for shape in [(64, 64), (130, 200), (256, 256)]:
+        px = rng.integers(0, 1 << 16, shape, dtype=np.uint16)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = Q._chip_content_hashes(px, 64)
+        np.testing.assert_array_equal(got, ref.chip_content_hashes(px, 64))
+
+
 def test_duplicate_tiles_brute_force(gate):
     """image_duplicate_tiles == a single-process dict over every decoded
     chip (hash -> {images}, chip count), independent of the distributed
@@ -2414,6 +2432,18 @@ def test_topk_equals_full_sort(k, ascending):
     want = (full.sort_values(["a", "b"], ascending=ascending)
             .head(k).reset_index(drop=True))
     pd.testing.assert_frame_equal(got, want)
+
+
+def test_topk_without_rows_keeps_schema():
+    """A filter that keeps no row still gives the input's columns and
+    dtypes, though no block returns a top k."""
+    from tiff_enrichment_pipeline_ray.pipelines import queries as Q
+
+    ds, full = _topk_input(n_blocks=3)
+    none = ds.map_batches(lambda df: df[df.a < 0], batch_format="pandas")
+    got = Q._topk(none, ["a", "b"], [True, True], 5)
+    assert len(got) == 0
+    assert dict(got.dtypes) == dict(full.dtypes)
 
 
 def test_reduce_matches_pandas_and_sql_empty():

@@ -9,6 +9,12 @@ code that relied on it to fail far from the cause.
 Modules under ``pipelines/`` and ``stages/`` also import nothing from
 ``ray.data.aggregate``: the query layer's exchanges are its own
 (``_preagg``, ``_dsjoin``, bucket ``map_groups``).
+
+Driver state reaches a map task in the UDF's closure, which Ray puts into
+the object store once per operator. So no module calls ``ray.put`` or tests
+``isinstance(…, ray.ObjectRef)``, except the flagship's layer broadcast:
+``put_layers`` puts the layers once per session, and ``Enricher.__init__``
+reads them back, because the ref keys each worker's cache of built indexes.
 """
 import ast
 import os
@@ -127,3 +133,85 @@ def test_detects_both_hook_forms():
            "ctx.enable_progress_bars = False\n")
     lines = sorted(line for line, _ in _violations(ast.parse(src)))
     assert lines == [1, 3, 4, 5]
+
+
+# (module, enclosing def, form) allowed to hand-roll a broadcast.
+BROADCAST_OWNERS = {
+    ("tiff_enrichment_pipeline_ray/stages/enrich.py", "put_layers", "put"),
+    ("tiff_enrichment_pipeline_ray/stages/enrich.py", "Enricher.__init__",
+     "ObjectRef"),
+}
+
+
+def _broadcasts(tree):
+    """(line, enclosing def, form) of every ``ray.put(…)`` call (form
+    ``put``) and every ``isinstance(…, ray.ObjectRef)`` test (form
+    ``ObjectRef``), whatever name ``ray`` or the member is imported as."""
+    mods, members = set(), {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            mods.update(a.asname or a.name for a in node.names
+                        if a.name == "ray")
+        elif isinstance(node, ast.ImportFrom) and node.module == "ray":
+            members.update({a.asname or a.name: a.name for a in node.names})
+
+    def member(expr):
+        if (isinstance(expr, ast.Attribute)
+                and isinstance(expr.value, ast.Name) and expr.value.id in mods):
+            return expr.attr
+        return members.get(expr.id) if isinstance(expr, ast.Name) else None
+
+    out = []
+
+    def walk(node, owner):
+        for child in ast.iter_child_nodes(node):
+            own = owner
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                own = f"{owner}.{child.name}" if owner else child.name
+            elif isinstance(child, ast.Call):
+                if member(child.func) == "put":
+                    out.append((child.lineno, owner, "put"))
+                elif (isinstance(child.func, ast.Name)
+                      and child.func.id == "isinstance"
+                      and len(child.args) == 2):
+                    t = child.args[1]
+                    if any(member(e) == "ObjectRef" for e in
+                           (t.elts if isinstance(t, ast.Tuple) else [t])):
+                        out.append((child.lineno, owner, "ObjectRef"))
+            walk(child, own)
+
+    walk(tree, "")
+    return out
+
+
+def test_driver_state_reaches_maps_by_closure():
+    found = []
+    for d, _, files in os.walk(PACKAGE):
+        for f in sorted(files):
+            if f.endswith(".py"):
+                path = os.path.join(d, f)
+                with open(path) as fh:
+                    tree = ast.parse(fh.read(), path)
+                rel = os.path.relpath(path, ROOT)
+                found += [f"{rel}:{line} {owner} {form}"
+                          for line, owner, form in _broadcasts(tree)
+                          if (rel, owner, form) not in BROADCAST_OWNERS]
+    assert not found, found
+
+
+def test_detects_broadcast_forms():
+    src = ("import ray\n"
+           "import ray as _r\n"
+           "from ray import put as p, ObjectRef\n"
+           "def f(x):\n"
+           "    ref = ray.put(x)\n"
+           "    class C:\n"
+           "        def g(self, y=ref):\n"
+           "            _r.put(y)\n"
+           "            return isinstance(y, (int, ObjectRef))\n"
+           "    p(x)\n"
+           "    return isinstance(ref, _r.ObjectRef), ray.get(ref)\n")
+    assert sorted(_broadcasts(ast.parse(src))) == [
+        (5, "f", "put"), (8, "f.C.g", "put"), (9, "f.C.g", "ObjectRef"),
+        (10, "f", "put"), (11, "f", "ObjectRef")]

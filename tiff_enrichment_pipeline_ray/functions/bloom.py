@@ -2,7 +2,7 @@
 
 The classic shuffle-avoidance pattern at 100 TB: instead of shipping every
 probe-side row into a hash-partition semi-join, build a Bloom filter over
-the (filtered) build side, broadcast it once via ``ray.put`` (2^p bits =
+the (filtered) build side, capture it in the probe map (2^p bits =
 2^(p-3) bytes; 1 MiB at p=23), and drop probe rows that cannot match INSIDE
 map_batches before any shuffle. False positives only let extra rows through
 — the downstream exact join keeps the result exact — so the pruning is

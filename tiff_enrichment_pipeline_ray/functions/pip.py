@@ -11,8 +11,8 @@ smallest ``polygon_id`` (SURVEY.md §2.4 J2 tie-break). Points on an edge follow
 the half-open crossing-number rule (consistent on shared borders).
 
 Designed for the broadcast-small-side pattern: the tree is built once per
-actor (`LandcoverJoiner.__init__`) from a `ray.put` layer and queried per
-batch — no shuffle.
+worker process (`stages.enrich.Enricher`) from the `put_layers` layer and
+queried per batch — no shuffle.
 """
 
 from __future__ import annotations

@@ -24,6 +24,12 @@ A query's exchanges take three forms only:
 Global top-k runs through ``_topk`` and keyless totals through ``_reduce``:
 per-block partials merged on the driver, with no exchange. No query calls
 ``Dataset.sort`` or a Ray aggregate.
+
+Driver state a map task needs (a Bloom filter, centroids, a raster, the
+station layer, query vectors) reaches it one way only: the map UDF captures
+it in its closure. Ray puts each operator's UDF, closure included, into the
+object store once, and each task unpickles it once, not once per batch; so
+no query calls ``ray.put``.
 """
 
 from __future__ import annotations
@@ -110,8 +116,8 @@ def _topk(ds, by, ascending, k: int) -> pd.DataFrame:
     Each block keeps its own top k in one ``map_batches(batch_size=None)``
     task; the driver streams those ≤ k-row results and keeps a running top
     k, so it never holds more than 2k rows, whatever the block count, and
-    no exchange runs. An input without rows gives a frame without
-    columns, as ``Dataset.to_pandas`` does."""
+    no exchange runs. An input without rows gives the zero-row frame of
+    its schema."""
     by, ascending = list(by), list(ascending)
 
     def top(df: pd.DataFrame) -> pd.DataFrame:
@@ -124,7 +130,14 @@ def _topk(ds, by, ascending, k: int) -> pd.DataFrame:
             batch_format="pandas", batch_size=None):
         out = b if out is None else top(pd.concat([out, b],
                                                   ignore_index=True))
-    return pd.DataFrame() if out is None else out.reset_index(drop=True)
+    if out is None:
+        # Ray maps no zero-row block, so no block's top k carries the
+        # columns: type the empty frame by the input's schema
+        schema = ds.schema()
+        return _no_rows(**{} if schema is None else {
+            n: t.to_pandas_dtype() if isinstance(t, pa.DataType) else object
+            for n, t in zip(schema.names, schema.types)})
+    return out.reset_index(drop=True)
 
 
 def _reduce(ds, spec) -> dict:
@@ -690,14 +703,12 @@ def q4_bloom_semijoin(sf_dir: str, p: int = 20):
     """q4's EXISTS semi-join with BLOOM-FILTER shuffle pruning (the
     100-TB-scale variant): a Bloom filter over the date-filtered orders keys
     is built distributed (per-block packed partials → one bitwise-OR
-    map_groups level → tiny driver OR), broadcast once via ray.put, and
+    map_groups level → tiny driver OR), captured by the probe map, and
     probed INSIDE the lineitem scan — R-flag rows whose orderkey cannot be a
     1996H1 order are dropped before the join, so its exchange carries
     ~matching keys + false positives instead of every returned lineitem.
     The final LEFT SEMI ``_dsjoin`` is exact, so FPs never leak into the
     result (same oracle as q4_priority_semijoin)."""
-    import ray
-
     from ..functions import bloom as bf
 
     orders = read_testdata(sf_dir, "orders",
@@ -732,16 +743,14 @@ def q4_bloom_semijoin(sf_dir: str, p: int = 20):
     acc = bf.empty(p)
     for b in parts.bits:
         acc = bf.merge(acc, np.frombuffer(b, dtype=np.uint8))
-    bloom_ref = ray.put(acc)
 
     li = read_testdata(sf_dir, "lineitem", columns=["l_orderkey",
                                                     "l_returnflag"])
 
-    def probe(df: pd.DataFrame, _b=bloom_ref) -> pd.DataFrame:
-        bits = ray.get(_b) if isinstance(_b, ray.ObjectRef) else _b
+    def probe(df: pd.DataFrame) -> pd.DataFrame:
         df = df[df.l_returnflag == "R"]
         keys = df.l_orderkey.to_numpy(np.int64)
-        keep = pd.unique(keys[bf.might_contain(bits, keys)])
+        keep = pd.unique(keys[bf.might_contain(acc, keys)])
         return pd.DataFrame({"o_orderkey": keep})
 
     joined = _dsjoin(orders.select_columns(["o_orderkey", "o_orderpriority"]),
@@ -1634,14 +1643,12 @@ def ann_knn_join(sf_dir: str, n_queries: int = 32, k: int = 5):
     n_queries lowest-vec_id query vectors (the retrieval-augmentation /
     cluster-assignment primitive, vs ann_topk_cosine's single query).
 
-    The query matrix is broadcast once (ray.put, read per task — never
-    re-shipped per batch); each batch does ONE (batch × nq) matmul and emits
-    its per-query partial top-k under the final total order (rounded sim
-    desc, neighbor_id asc), so the combine shuffle moves ≤ n_blocks·nq·k
-    rows regardless of corpus size; a per-query map_groups merge yields the
-    global top-k with ranks. Scales as a single corpus scan + tiny shuffle."""
-    import ray
-
+    The query matrix is captured by the scoring map; each batch does ONE
+    (batch × nq) matmul and emits its per-query partial top-k under the
+    final total order (rounded sim desc, neighbor_id asc), so the combine
+    shuffle moves ≤ n_blocks·nq·k rows regardless of corpus size; a
+    per-query map_groups merge yields the global top-k with ranks. Scales
+    as a single corpus scan + tiny shuffle."""
     emb = read_testdata(sf_dir, "embeddings", columns=["vec_id", "embedding"])
 
     # query set = n_queries smallest vec_ids: per-block partial min-k (≤ nq
@@ -1655,11 +1662,8 @@ def ann_knn_join(sf_dir: str, n_queries: int = 32, k: int = 5):
     Q = np.stack(qdf.embedding.to_numpy()).astype(np.float64)
     qnorm = np.sqrt((Q * Q).sum(1))
     qnorm = np.where(qnorm == 0, 1.0, qnorm)
-    q_ref = ray.put((qids, Q, qnorm))
 
-    def score(df: pd.DataFrame, q_ref=q_ref) -> pd.DataFrame:
-        qids, Q, qnorm = (ray.get(q_ref)
-                          if isinstance(q_ref, ray.ObjectRef) else q_ref)
+    def score(df: pd.DataFrame) -> pd.DataFrame:
         M = np.stack(df.embedding.to_numpy()).astype(np.float64)
         norms = np.sqrt((M * M).sum(axis=1))
         norms = np.where(norms == 0, 1.0, norms)
@@ -1827,14 +1831,22 @@ def geo_tile_census(sf_dir: str):
 _N_SYN_STATIONS = 100
 
 
+def _syn_stations():
+    """The synthetic station layer the SQL oracles derive too: station
+    ids, lat, lon and value, each an array of ``_N_SYN_STATIONS``."""
+    sid = np.arange(_N_SYN_STATIONS, dtype=np.int64)
+    slat = 50.8 + ((sid * 37) % 270) / 100.0
+    slon = 3.1 + ((sid * 73) % 410) / 100.0
+    sval = 5.0 + ((sid * 13) % 70).astype(np.float64)
+    return sid, slat, slon, sval
+
+
 def geo_knn_station(sf_dir: str):
     """k=1 nearest synthetic station under a scaled-euclidean metric whose
     expression is bit-identical in SQL; ties broken by station id. (The
     haversine kNN path is exercised by the flagship + pytest oracle; this
     query pins the join semantics under the driver's hash compare.)"""
-    sid = np.arange(_N_SYN_STATIONS, dtype=np.int64)
-    slat = 50.8 + ((sid * 37) % 270) / 100.0
-    slon = 3.1 + ((sid * 73) % 410) / 100.0
+    sid, slat, slon, _sval = _syn_stations()
     ev = read_testdata(sf_dir, "events", columns=["event_id"])
 
     def f(df: pd.DataFrame) -> pd.DataFrame:
@@ -2428,8 +2440,6 @@ def _verify_jaccard_pairs(sf_dir: str, cand, threshold: float):
     that dominated this whole pipeline, and Bloom false positives are
     harmless — a non-candidate doc's shingle row meets no pair row in the
     hop-1 groupby and drops out. Exactness is untouched."""
-    import ray
-
     from ..functions import bloom as bf
     from ..functions import sketch
 
@@ -2473,7 +2483,6 @@ def _verify_jaccard_pairs(sf_dir: str, cand, threshold: float):
              .to_pandas())  # exactly one packed row
     acc = np.frombuffer(parts.bits.iloc[0], dtype=np.uint8).copy() \
         if len(parts) else bf.empty(p)
-    bloom_ref = ray.put(acc)
 
     def explode_pairs(df: pd.DataFrame) -> pd.DataFrame:
         a = df.doc_a.to_numpy(np.int64)
@@ -2495,10 +2504,9 @@ def _verify_jaccard_pairs(sf_dir: str, cand, threshold: float):
 
     # arrow in and out: the typed text column keeps a zero-row block's
     # size estimate (Ray cannot size a zero-row pandas object column)
-    def bloom_probe(t: pa.Table, _b=bloom_ref) -> pa.Table:
-        bits = ray.get(_b) if isinstance(_b, ray.ObjectRef) else _b
+    def bloom_probe(t: pa.Table) -> pa.Table:
         keys = t.column("doc_id").to_numpy().astype(np.int64)
-        return t.filter(pa.array(bf.might_contain(bits, keys)))
+        return t.filter(pa.array(bf.might_contain(acc, keys)))
 
     cdocs = docs.map_batches(bloom_probe, batch_format="pyarrow")
     sh_rows = cdocs.map_batches(cand_shingles, batch_format="pandas")
@@ -2967,8 +2975,6 @@ def doc_vocab_topk_mg(sf_dir: str, k: int = 100, capacity: int = 400):
     (shuffle ≤ blocks × |candidates| rows), exact top-k with the same
     (cnt desc, word asc) tie-break as doc_vocab_topk ⇒ identical SQL
     oracle. Misra & Gries '82; mergeability per Agarwal et al. '13."""
-    import ray
-
     docs = read_testdata(sf_dir, "documents", columns=["text"])
 
     def mg_partial(df: pd.DataFrame) -> pd.DataFrame:
@@ -2991,10 +2997,9 @@ def doc_vocab_topk_mg(sf_dir: str, k: int = 100, capacity: int = 400):
     c = merged[~is_err]
     ck = int(c.cnt.sort_values(ascending=False).iloc[min(k, len(c)) - 1])
     cand = c.loc[c.cnt + e >= ck, "word"]
-    cand_ref = ray.put(frozenset(cand.tolist()))
+    cs = frozenset(cand.tolist())
 
-    def exact_partial(df: pd.DataFrame, _c=cand_ref) -> pd.DataFrame:
-        cs = ray.get(_c) if isinstance(_c, ray.ObjectRef) else _c
+    def exact_partial(df: pd.DataFrame) -> pd.DataFrame:
         vc = pd.Series(_flat_words(df["text"]), dtype=object).value_counts()
         vc = vc[vc.index.isin(cs)]
         return pd.DataFrame({"word": vc.index.to_numpy(dtype=object),
@@ -4523,19 +4528,14 @@ def embedding_kmeans(sf_dir: str, k: int = 8):
     pinned by a pytest brute-force oracle (single-process numpy recompute
     over the same centroids); floats are heuristic cluster geometry, not
     SQL-expressible."""
-    from ..stages.ann import _sq_dists, kmeans_fit
+    from ..stages.ann import _sq_dists, sample_centroids
 
     emb = read_testdata(sf_dir, "embeddings", columns=["vec_id", "embedding"])
-    sample = emb.limit(4096).to_pandas()  # bounded: never corpus-sized
-    C = kmeans_fit(np.stack(sample.embedding.to_numpy()), k, seed=42)
-    import ray
+    C = sample_centroids(emb, k)
 
-    c_ref = ray.put(C)
-
-    def assign(df: pd.DataFrame, _c=c_ref) -> pd.DataFrame:
-        cc = ray.get(_c) if isinstance(_c, ray.ObjectRef) else _c
+    def assign(df: pd.DataFrame) -> pd.DataFrame:
         X = np.stack(df.embedding.to_numpy()).astype(np.float32)
-        d = _sq_dists(X, cc)
+        d = _sq_dists(X, C)
         a = d.argmin(1)
         return pd.DataFrame({
             "cluster": a.astype(np.int64),
@@ -4735,29 +4735,23 @@ def embedding_semantic_dedup(sf_dir: str, k: int = 8,
     variant that never under-drops). Output: (vec_id, cluster, keep).
 
     Scale shape: centroids fit once on a bounded file-order-prefix sample
-    and broadcast via ray.put (read per task, never re-shipped per batch);
-    assignment is one matmul-shaped distance per batch (same metric as
-    embedding_kmeans / the IVF index); the per-cluster greedy is ONE
-    groupby(cluster) exchange + an in-group chunked triangular matmul —
-    O(cluster_size^2) is the algorithm's defining cost, bounded by k.
-    Rows-only: cluster geometry isn't SQL-expressible; pinned by a pytest
-    brute-force oracle (single-process numpy recompute, same centroids,
-    same rule)."""
-    import ray
-
-    from ..stages.ann import _sq_dists, kmeans_fit
+    and captured by the assignment map; assignment is one matmul-shaped
+    distance per batch (same metric as embedding_kmeans / the IVF index);
+    the per-cluster greedy is ONE groupby(cluster) exchange + an in-group
+    chunked triangular matmul — O(cluster_size^2) is the algorithm's
+    defining cost, bounded by k. Rows-only: cluster geometry isn't
+    SQL-expressible; pinned by a pytest brute-force oracle (single-process
+    numpy recompute, same centroids, same rule)."""
+    from ..stages.ann import _sq_dists, sample_centroids
 
     emb = read_testdata(sf_dir, "embeddings", columns=["vec_id", "embedding"])
-    sample = emb.limit(4096).to_pandas()  # bounded: never corpus-sized
-    C = kmeans_fit(np.stack(sample.embedding.to_numpy()), k, seed=42)
-    c_ref = ray.put(C)
+    C = sample_centroids(emb, k)
 
-    def assign(df: pd.DataFrame, _c=c_ref) -> pd.DataFrame:
-        cc = ray.get(_c) if isinstance(_c, ray.ObjectRef) else _c
+    def assign(df: pd.DataFrame) -> pd.DataFrame:
         X = np.stack(df.embedding.to_numpy()).astype(np.float32)
         return pd.DataFrame({
             "vec_id": df.vec_id.to_numpy(np.int64),
-            "cluster": _sq_dists(X, cc).argmin(1).astype(np.int64),
+            "cluster": _sq_dists(X, C).argmin(1).astype(np.int64),
             "embedding": df.embedding})
 
     def greedy(g: pd.DataFrame) -> pd.DataFrame:
@@ -6770,13 +6764,11 @@ def embedding_pca_project(sf_dir: str, k: int = 2):
     (d=64 → 33 KB each), forms cov = Σxxᵀ/n − x̄x̄ᵀ, and eigendecomposes
     once (O(d³), driver-side by design — the model-fit step, like
     embedding_kmeans' sampled Lloyd). Eigenvector sign is fixed
-    deterministically (largest-|coord| positive). Phase 2 broadcasts
-    (x̄, W) via ray.put and projects per batch with ONE matmul — the
+    deterministically (largest-|coord| positive). Phase 2 captures
+    (x̄, W) in its map and projects per batch with ONE matmul — the
     trained-transform-apply pattern every model-scoring stage uses.
     Rows-only vs the driver (eigensolve is not SQL); pinned by
     tests/test_ann_multimodal.py::test_pca_project_brute."""
-    import ray
-
     emb = read_testdata(sf_dir, "embeddings", columns=["vec_id", "embedding"])
 
     def partials(df: pd.DataFrame) -> pd.DataFrame:
@@ -6798,14 +6790,12 @@ def embedding_pca_project(sf_dir: str, k: int = 2):
     W = evecs[:, ::-1][:, :k]                 # top-k columns
     flip = W[np.abs(W).argmax(axis=0), np.arange(k)] < 0
     W = W * np.where(flip, -1.0, 1.0)[None, :]
-    ref = ray.put((mean, W))
 
-    def project(df: pd.DataFrame, _r=ref) -> pd.DataFrame:
-        m, w = ray.get(_r) if isinstance(_r, ray.ObjectRef) else _r
+    def project(df: pd.DataFrame) -> pd.DataFrame:
         X = np.stack(df.embedding.to_numpy()).astype(np.float64)
-        P = (X - m[None, :]) @ w
+        P = (X - mean[None, :]) @ W
         out = {"vec_id": df.vec_id.to_numpy(np.int64)}
-        for j in range(w.shape[1]):
+        for j in range(W.shape[1]):
             out[f"pc{j + 1}"] = np.round(P[:, j], 6)
         return pd.DataFrame(out)
 
@@ -6879,17 +6869,14 @@ def geo_idw_interpolate(sf_dir: str, k: int = 4):
     elevation pipelines run where a raster layer is missing. Output
     (event_id, idw_value·round-6).
 
-    Scale shape: identical to the kNN join — the station layer is tiny
-    and BROADCAST (at 100 TB: ray.put once, read per actor), each batch
-    computes one (rows × stations) distance matrix and an argpartition
-    top-k, zero exchanges. The d² expression, the +1e-12 degeneracy guard
-    (a point exactly on a station), and the (d², sid) candidate order are
-    expression-identical in the SQL oracle, so the float result agrees to
-    IEEE reassociation (covered by the sweep's one-quantum tolerance)."""
-    sid = np.arange(_N_SYN_STATIONS, dtype=np.int64)
-    slat = 50.8 + ((sid * 37) % 270) / 100.0
-    slon = 3.1 + ((sid * 73) % 410) / 100.0
-    sval = 5.0 + ((sid * 13) % 70).astype(np.float64)
+    Scale shape: identical to the kNN join — the station layer is tiny and
+    captured by the map, each batch computes one (rows × stations) distance
+    matrix and an argpartition top-k, zero exchanges. The d² expression,
+    the +1e-12 degeneracy guard (a point exactly on a station), and the
+    (d², sid) candidate order are expression-identical in the SQL oracle,
+    so the float result agrees to IEEE reassociation (covered by the
+    sweep's one-quantum tolerance)."""
+    _sid, slat, slon, sval = _syn_stations()
     ev = read_testdata(sf_dir, "events", columns=["event_id"])
 
     def f(df: pd.DataFrame) -> pd.DataFrame:
@@ -7681,17 +7668,14 @@ def geo_terrain_stats(sf_dir: str):
     curation pass produces. Output (tile_x, tile_y, n_points,
     mean_slope_deg round-4, mean_hillshade round-4).
 
-    Scale shape: the derivative rasters are computed ONCE from the
-    broadcast elevation layer (~0.7M cells — a domain-sized side input,
-    ray.put once and read per task, never per batch: worker-side lazy
-    cache keyed by the object ref); per batch the sample is a pure
+    Scale shape: the derivative rasters are computed ONCE on the driver
+    from the elevation layer (~0.7M cells — a domain-sized side input
+    the sampling map captures); per batch the sample is a pure
     integer-index gather; the aggregate is one pre-aggregated exchange
     bounded by the tile grid. Rows-only vs the driver (the raster layer
     is not SQL-visible); kernel semantics pinned by
     tests/test_spatial.py::TestTerrain goldens (planar ramps, exact
     arctan/aspect/hillshade identities)."""
-    import ray
-
     from ..functions import geo as G
     from ..functions.raster import ElevationGrid, hillshade, slope_aspect
     from ..sources import synth
@@ -7704,15 +7688,11 @@ def geo_terrain_stats(sf_dir: str):
     slope, aspect = slope_aspect(eg.grid, m_lon * eg.res,
                                  float(m_lat[0]) * eg.res)
     hs = hillshade(slope, aspect)
-    ref = ray.put((slope.astype(np.float32), hs.astype(np.float32),
-                   eg.lat0, eg.lon0, eg.res, eg.nrows, eg.ncols))
+    sl, h = slope.astype(np.float32), hs.astype(np.float32)
+    lat0, lon0, res, nr, nc = eg.lat0, eg.lon0, eg.res, eg.nrows, eg.ncols
     ev = read_testdata(sf_dir, "events", columns=["event_id"])
-    cache = {}
 
-    def sample(df: pd.DataFrame, _ref=ref) -> pd.DataFrame:
-        if "t" not in cache:  # once per worker, not per batch
-            cache["t"] = ray.get(_ref)
-        sl, h, lat0, lon0, res, nr, nc = cache["t"]
+    def sample(df: pd.DataFrame) -> pd.DataFrame:
         p = _event_points(df)
         r = np.clip(((p.lat.to_numpy() - lat0) / res).astype(np.int64),
                     0, nr - 1)
@@ -7887,15 +7867,14 @@ def geo_contour_lines(sf_dir: str):
     each segment is measured with the meter scale of its mean row).
     Output (level, n_segments, total_len_km round-4).
 
-    Scale shape: the raster is ONE broadcast (ray.put once, worker-side
-    cache); levels fan out as a tiny Dataset so the 8 extractions run
-    as parallel tasks. At planetary rasters the same kernel runs
-    per-TILE with one-row halos and the per-level reduce becomes a
-    (level)-keyed pre-aggregated exchange — documented upgrade path;
-    segment geometry is tile-local either way. Rows-only vs the driver;
-    kernel pinned by tests/test_spatial.py::TestContours (exact ramp /
-    diagonal lengths, closed-loop topology, circumference match)."""
-    import ray
+    Scale shape: the per-level map captures the raster; levels fan out as a
+    tiny Dataset so the 8 extractions run as parallel tasks. At planetary
+    rasters the same kernel runs per-TILE with one-row halos and the
+    per-level reduce becomes a (level)-keyed pre-aggregated exchange —
+    documented upgrade path; segment geometry is tile-local either way.
+    Rows-only vs the driver; kernel pinned by
+    tests/test_spatial.py::TestContours (exact ramp / diagonal lengths,
+    closed-loop topology, circumference match)."""
     import ray.data as rd
 
     from ..functions import geo as G
@@ -7905,14 +7884,10 @@ def geo_contour_lines(sf_dir: str):
 
     layers = load_layers(synth.ensure_layers())
     eg = ElevationGrid(layers["elevation"])
-    ref = ray.put((eg.grid.astype(np.float32), eg.lat0, eg.res))
+    grid, lat0, res = eg.grid.astype(np.float32), eg.lat0, eg.res
     levels = list(range(20, 301, 40))
-    cache = {}
 
-    def per_level(df: pd.DataFrame, _ref=ref) -> pd.DataFrame:
-        if "g" not in cache:
-            cache["g"] = ray.get(_ref)
-        grid, lat0, res = cache["g"]
+    def per_level(df: pd.DataFrame) -> pd.DataFrame:
         out = []
         for lv in df.level.tolist():
             x0, y0, x1, y1 = contour_segments(grid, float(lv))
@@ -8069,15 +8044,13 @@ def geo_rasterize_landcover(sf_dir: str):
     truth behind zonal_stats_landcover. Output (landcover_class,
     n_cells, area_km2 round-4), 'none' = cells outside every polygon.
 
-    Scale shape: the polygon index is ONE broadcast (ray.put once,
-    worker-side cache); raster ROWS fan out as a tiny Dataset so bands
-    of rows rasterize as parallel tasks (each a vectorized row-at-a-time
-    PIP join); per-class partials reduce through one |classes|-bounded
-    exchange. Rows-only vs the driver (the polygon layer is not
-    SQL-visible); the row kernel is pinned by
+    Scale shape: the burn map captures the polygon index; raster ROWS fan
+    out as a tiny Dataset so bands of rows rasterize as parallel tasks
+    (each a vectorized row-at-a-time PIP join); per-class partials reduce
+    through one |classes|-bounded exchange. Rows-only vs the driver (the
+    polygon layer is not SQL-visible); the row kernel is pinned by
     tests/test_spatial.py::TestRasterize crafted rectangles (exact cell
     counts and areas), the PIP join itself by TestPIP brute-force."""
-    import ray
     import ray.data as rd
 
     from ..functions.pip import PolygonIndex
@@ -8099,16 +8072,11 @@ def geo_rasterize_landcover(sf_dir: str):
     tx = np.rint((np.asarray(el["min_lon"]) - lon0) / (res * tnx))
     nrows = (int(ty.max()) + 1) * tny
     ncols = (int(tx.max()) + 1) * tnx
-    ref = ray.put((idx, classes))
-    cache = {}
     band = 64  # rows per task
     starts = list(range(0, nrows, band))
 
-    def burn(df: pd.DataFrame, _ref=ref) -> pd.DataFrame:
-        if "i" not in cache:
-            cache["i"] = ray.get(_ref)
-        index, cls = cache["i"]
-        frames = [_rasterize_rows(index, cls, lat0, lon0, res, ncols,
+    def burn(df: pd.DataFrame) -> pd.DataFrame:
+        frames = [_rasterize_rows(idx, classes, lat0, lon0, res, ncols,
                                   np.arange(s, min(s + band, nrows)))
                   for s in df.start.tolist()]
         return pd.concat(frames, ignore_index=True)
@@ -8154,15 +8122,14 @@ def geo_line_of_sight(sf_dir: str):
     terrain samples along each sight line. Output (sid_a, sid_b,
     visible, max_obstruction_m round-2; negative = clearance margin).
 
-    Scale shape: the terrain raster and station layer are ONE broadcast
-    (ray.put once, worker cache); pairs are LAYER-sized (n_stations²/2,
-    bounded like the layer itself), fanned out per a-station so the
-    sampling matrices stay batch-shaped. At corpus-scale pair counts
-    the same kernel runs over a PBSM-bucketed pair Dataset — documented
-    path. Rows-only vs the driver (raster not SQL-visible); kernel
-    pinned by tests/test_spatial.py::TestLineOfSight crafted flat/wall
-    terrains with exact obstruction values."""
-    import ray
+    Scale shape: the per-station map captures the terrain raster and
+    station layer; pairs are LAYER-sized (n_stations²/2, bounded like the
+    layer itself), fanned out per a-station so the sampling matrices stay
+    batch-shaped. At corpus-scale pair counts the same kernel runs over a
+    PBSM-bucketed pair Dataset — documented path. Rows-only vs the driver
+    (raster not SQL-visible); kernel pinned by
+    tests/test_spatial.py::TestLineOfSight crafted flat/wall terrains with
+    exact obstruction values."""
     import ray.data as rd
 
     from ..functions.raster import ElevationGrid
@@ -8172,23 +8139,19 @@ def geo_line_of_sight(sf_dir: str):
     layers = load_layers(synth.ensure_layers())
     st = layers["stations"]
     eg = ElevationGrid(layers["elevation"])
-    ref = ray.put((eg, np.asarray(st["station_id"], dtype=object),
-                   np.asarray(st["lat"], dtype=np.float64),
-                   np.asarray(st["lon"], dtype=np.float64)))
-    n = len(st["lat"])
-    cache = {}
+    sid = np.asarray(st["station_id"], dtype=object)
+    slat = np.asarray(st["lat"], dtype=np.float64)
+    slon = np.asarray(st["lon"], dtype=np.float64)
+    n = len(slat)
 
-    def per_a(df: pd.DataFrame, _ref=ref) -> pd.DataFrame:
-        if "l" not in cache:
-            cache["l"] = ray.get(_ref)
-        g, sid, slat, slon = cache["l"]
+    def per_a(df: pd.DataFrame) -> pd.DataFrame:
         frames = []
         for a in df.a.tolist():
             b = np.arange(a + 1, n)
             if not len(b):
                 continue
             vis, obst = _los_pairs(
-                g, np.full(len(b), slat[a]), np.full(len(b), slon[a]),
+                eg, np.full(len(b), slat[a]), np.full(len(b), slon[a]),
                 slat[b], slon[b])
             frames.append(pd.DataFrame({
                 "sid_a": np.repeat(sid[a], len(b)),
@@ -8224,7 +8187,6 @@ def geo_flow_accumulation(sf_dir: str, topk: int = 20):
     tile with halo exchange per fixpoint round — documented path.
     Rows-only; kernels pinned by tests/test_spatial.py::TestFlow (ramp
     and V-valley closed forms)."""
-    import ray
     import ray.data as rd
 
     from ..functions.raster import (
@@ -8237,10 +8199,10 @@ def geo_flow_accumulation(sf_dir: str, topk: int = 20):
 
     layers = load_layers(synth.ensure_layers())
     eg = ElevationGrid(layers["elevation"])
-    ref = ray.put((eg.grid.astype(np.float32), eg.lat0, eg.lon0, eg.res))
+    grid, lat0, lon0, res = (eg.grid.astype(np.float32), eg.lat0, eg.lon0,
+                             eg.res)
 
-    def compute(df: pd.DataFrame, _ref=ref) -> pd.DataFrame:
-        grid, lat0, lon0, res = ray.get(_ref)
+    def compute(df: pd.DataFrame) -> pd.DataFrame:
         z = grid.astype(np.float64)
         acc = flow_accumulation(flow_d8(z), z.shape).ravel()
         order = np.lexsort((np.arange(len(acc)), -acc))[:topk]
@@ -8303,29 +8265,19 @@ def geo_kriging_interpolate(sf_dir: str):
     round-6, kriging_var round-6).
 
     Scale shape: the (n+1)² system is LAYER-sized and inverted ONCE
-    (driver), then broadcast; each batch is one covariance matrix and
-    one matmul — zero exchanges, the IDW/kNN broadcast pattern.
+    (driver), then captured by the map; each batch is one covariance
+    matrix and one matmul — zero exchanges, the IDW/kNN pattern.
     Rows-only vs the driver (a matrix solve is not SQL); pinned by
     tests/test_spatial.py::TestKriging — exactness at stations, Σλ = 1,
     zero variance at stations, agreement with an independent per-point
     np.linalg.solve."""
-    import ray
-
-    sid = np.arange(_N_SYN_STATIONS, dtype=np.int64)
-    slat = 50.8 + ((sid * 37) % 270) / 100.0
-    slon = 3.1 + ((sid * 73) % 410) / 100.0
-    sval = 5.0 + ((sid * 13) % 70).astype(np.float64)
+    _sid, slat, slon, sval = _syn_stations()
     ainv = _krige_system(slat, slon)
-    ref = ray.put((ainv, slat, slon, sval))
     ev = read_testdata(sf_dir, "events", columns=["event_id"])
-    cache = {}
 
-    def f(df: pd.DataFrame, _ref=ref) -> pd.DataFrame:
-        if "k" not in cache:
-            cache["k"] = ray.get(_ref)
-        a, la, lo, v = cache["k"]
+    def f(df: pd.DataFrame) -> pd.DataFrame:
         p = _event_points(df)
-        est, var = _krige_batch(a, la, lo, v, p.lat.to_numpy(),
+        est, var = _krige_batch(ainv, slat, slon, sval, p.lat.to_numpy(),
                                 p.lon.to_numpy())
         return pd.DataFrame({"event_id": p.event_id.to_numpy(np.int64),
                              "kriged_value": np.round(est, 6),
@@ -8345,7 +8297,6 @@ def geo_hillshade_render(sf_dir: str):
     raster (the geo_heatmap_render argument); planetary rasters render
     per-tile with one-cell halos. Rows-only; shading kernel pinned by
     TestTerrain, PNG roundtrip by tests/test_viz.py::TestHillshade."""
-    import ray
     import ray.data as rd
 
     from ..functions import geo as G
@@ -8356,10 +8307,9 @@ def geo_hillshade_render(sf_dir: str):
 
     layers = load_layers(synth.ensure_layers())
     eg = ElevationGrid(layers["elevation"])
-    ref = ray.put((eg.grid.astype(np.float32), eg.lat0, eg.res))
+    grid, lat0, res = eg.grid.astype(np.float32), eg.lat0, eg.res
 
-    def render(df: pd.DataFrame, _ref=ref) -> pd.DataFrame:
-        grid, lat0, res = ray.get(_ref)
+    def render(df: pd.DataFrame) -> pd.DataFrame:
         z = grid.astype(np.float64)
         lat_rows = lat0 + (np.arange(z.shape[0]) + 0.5) * res
         m_lon, m_lat = G.meters_per_degree(lat_rows)
@@ -8388,13 +8338,11 @@ def geo_station_coverage(sf_dir: str):
     by the rounded-output tolerance. Output (tile_x, tile_y, n_points,
     mean_station_dist round-6, max_station_dist round-6).
 
-    Scale shape: the station layer is broadcast (closure constants);
-    each batch computes one (rows × stations) distance matrix and a
-    row-min — zero exchanges before the tile-bounded pre-aggregated
-    reduce (sums/maxes, never the raw distances)."""
-    sid = np.arange(_N_SYN_STATIONS, dtype=np.int64)
-    slat = 50.8 + ((sid * 37) % 270) / 100.0
-    slon = 3.1 + ((sid * 73) % 410) / 100.0
+    Scale shape: the station layer is captured by the map; each batch
+    computes one (rows × stations) distance matrix and a row-min — zero
+    exchanges before the tile-bounded pre-aggregated reduce (sums/maxes,
+    never the raw distances)."""
+    _sid, slat, slon, _sval = _syn_stations()
     ev = read_testdata(sf_dir, "events", columns=["event_id"])
 
     def f(df: pd.DataFrame) -> pd.DataFrame:
@@ -8862,11 +8810,8 @@ def _chip_content_hashes(px: np.ndarray, tile: int) -> np.ndarray:
     q = px[:ny * tile, :nx * tile].reshape(ny, tile, nx, tile)
     flat = (q.transpose(2, 0, 1, 3)         # x-major to match tile_chips
             .reshape(nx * ny, tile * tile).astype(np.uint64))
-    base = np.uint64(0x9E3779B97F4A7C15)
-    pw = np.empty(tile * tile, dtype=np.uint64)
-    pw[0] = np.uint64(1)
-    for i in range(1, tile * tile):
-        pw[i] = pw[i - 1] * base  # wraps mod 2^64
+    pw = np.uint64(0x9E3779B97F4A7C15) ** np.arange(tile * tile,
+                                                   dtype=np.uint64)
     with np.errstate(over="ignore"):
         h = (flat * pw[None, :]).sum(axis=1)  # wraps mod 2^64
     return h.view(np.int64)

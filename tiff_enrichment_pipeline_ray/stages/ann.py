@@ -9,10 +9,10 @@ and LSH scale paths.
   ever gathers the embedding table to the driver):
     build:  centroids are trained with deterministic seeded Lloyd k-means on
             a BOUNDED SAMPLE (first `sample_rows` of the dataset — cheap
-            limit-read, not a full scan), broadcast via ``ray.put``; every
-            vector is assigned to its nearest centroid inside ``map_batches``
-            (||x−c||² via the matmul identity, no (N,k,d) temp) and the table
-            is written as centroid-partitioned parquet
+            limit-read, not a full scan) and captured by the assignment
+            map; every vector is assigned to its nearest centroid inside
+            ``map_batches`` (||x−c||² via the matmul identity, no (N,k,d)
+            temp) and the table is written as centroid-partitioned parquet
             (``write_parquet(partition_cols=["centroid"])``).
     search: the query probes the `nprobe` nearest centroids and reads ONLY
             those partition directories (partition pruning at the read —
@@ -105,6 +105,15 @@ def kmeans_fit(X: np.ndarray, k: int, iters: int = 10, seed: int = 42) -> np.nda
     return C
 
 
+def sample_centroids(ds, k: int, seed: int = 42,
+                     sample_rows: int = 4096) -> np.ndarray:
+    """``kmeans_fit`` centroids of the ``embedding`` column of ``ds``, fit
+    on its first ``sample_rows`` rows: a bounded file-order-prefix
+    limit-read, so the table is never gathered."""
+    sample = ds.limit(sample_rows).to_pandas()
+    return kmeans_fit(np.stack(sample.embedding.to_numpy()), k, seed=seed)
+
+
 def assign_batch(df: pd.DataFrame, centroids: np.ndarray,
                  vec_col: str = "embedding") -> pd.DataFrame:
     X = np.stack(df[vec_col].to_numpy()).astype(np.float32)
@@ -136,7 +145,6 @@ def build_ivf_index(sf_dir: str, k: int = 16, seed: int = 42,
         <dir>/centroids.parquet            (k, d) small
         <dir>/lists/centroid=<j>/*.parquet (vec_id, embedding) per list
     """
-    import ray
     import ray.data as rd
 
     path = os.path.join(sf_dir, "embeddings.parquet")
@@ -149,15 +157,10 @@ def build_ivf_index(sf_dir: str, k: int = 16, seed: int = 42,
         return out
 
     ds = rd.read_parquet(path, columns=["vec_id", "embedding"])
-    # bounded deterministic sample for training (file-order prefix — a cheap
-    # limit-read; the full table is never gathered)
-    sample = ds.limit(sample_rows).to_pandas()
-    C = kmeans_fit(np.stack(sample.embedding.to_numpy()), k, seed=seed)
-    c_ref = ray.put(C)
+    C = sample_centroids(ds, k, seed=seed, sample_rows=sample_rows)
 
-    def assign(df: pd.DataFrame, _c=c_ref) -> pd.DataFrame:
-        cen = ray.get(_c) if isinstance(_c, ray.ObjectRef) else _c
-        return assign_batch(df, cen)
+    def assign(df: pd.DataFrame) -> pd.DataFrame:
+        return assign_batch(df, C)
 
     lists_dir = os.path.join(out, "lists")
     os.makedirs(lists_dir, exist_ok=True)
@@ -241,7 +244,6 @@ def build_lsh_index(sf_dir: str, nbits: int = 8, seed: int = 42,
 
     Same partitioning assumption as IVF: bucket key is the layout/locality
     key; a probe is a pruned partition read."""
-    import ray
     import ray.data as rd
 
     path = os.path.join(sf_dir, "embeddings.parquet")
@@ -256,12 +258,10 @@ def build_lsh_index(sf_dir: str, nbits: int = 8, seed: int = 42,
     ds = rd.read_parquet(path, columns=["vec_id", "embedding"])
     d = len(ds.limit(1).to_pandas().embedding.iloc[0])
     H = lsh_hyperplanes(d, nbits, seed=seed)
-    h_ref = ray.put(H)
 
-    def assign(df: pd.DataFrame, _h=h_ref) -> pd.DataFrame:
-        hp = ray.get(_h) if isinstance(_h, ray.ObjectRef) else _h
+    def assign(df: pd.DataFrame) -> pd.DataFrame:
         df = df.copy()
-        df["bucket"] = lsh_key_batch(np.stack(df.embedding.to_numpy()), hp)
+        df["bucket"] = lsh_key_batch(np.stack(df.embedding.to_numpy()), H)
         return df
 
     buckets_dir = os.path.join(out, "buckets")
@@ -354,18 +354,14 @@ def embedding_near_dup_pairs(sf_dir: str, threshold: float = 0.4,
     (small) qualifying output. Exactness: a pair at sim ≥ threshold shares
     ≥1 of its `nassign` nearest centroids at fixture geometry — asserted
     equal to the brute-force oracle in tests."""
-    import ray
     import ray.data as rd
 
     path = os.path.join(sf_dir, "embeddings.parquet")
     ds = rd.read_parquet(path, columns=["vec_id", "embedding"])
-    sample = ds.limit(4096).to_pandas()
-    C = kmeans_fit(np.stack(sample.embedding.to_numpy()), k, seed=seed)
-    c_ref = ray.put(C)
+    C = sample_centroids(ds, k, seed=seed)
 
-    def assign(df: pd.DataFrame, _c=c_ref) -> pd.DataFrame:
-        cen = ray.get(_c) if isinstance(_c, ray.ObjectRef) else _c
-        return assign_batch_multi(df, cen, nassign)
+    def assign(df: pd.DataFrame) -> pd.DataFrame:
+        return assign_batch_multi(df, C, nassign)
 
     def pairs_in_bucket(g: pd.DataFrame) -> pd.DataFrame:
         ids = g.vec_id.to_numpy(dtype=np.int64)
@@ -433,13 +429,13 @@ def pq_encode(X: np.ndarray, books: np.ndarray) -> np.ndarray:
 
 def build_pq_index(sf_dir: str, m: int = 16, ksub: int = 32, seed: int = 42,
                    sample_rows: int = 4096, out_dir: str | None = None) -> str:
-    """Distributed PQ build: sample-trained codebooks (bounded limit-read),
-    broadcast once, codes + exact norms written as parquet. Layout:
+    """Distributed PQ build: sample-trained codebooks (bounded limit-read)
+    captured by the encoding map, codes + exact norms written as parquet.
+    Layout:
 
         <dir>/codebooks.npy                 (m, ksub, dsub) small
         <dir>/codes/*.parquet               (vec_id, code bytes, norm)
     """
-    import ray
     import ray.data as rd
 
     path = os.path.join(sf_dir, "embeddings.parquet")
@@ -454,14 +450,10 @@ def build_pq_index(sf_dir: str, m: int = 16, ksub: int = 32, seed: int = 42,
     ds = rd.read_parquet(path, columns=["vec_id", "embedding"])
     sample = ds.limit(sample_rows).to_pandas()
     books = pq_train(np.stack(sample.embedding.to_numpy()), m, ksub, seed)
-    b_ref = ray.put(books)
 
-    def encode(df: pd.DataFrame, _b=b_ref) -> pd.DataFrame:
-        import ray as _r
-
-        bk = _r.get(_b) if isinstance(_b, _r.ObjectRef) else _b
+    def encode(df: pd.DataFrame) -> pd.DataFrame:
         X = np.stack(df.embedding.to_numpy()).astype(np.float32)
-        codes = pq_encode(X, bk)
+        codes = pq_encode(X, books)
         norms = np.sqrt((X.astype(np.float64) ** 2).sum(1))
         return pd.DataFrame({"vec_id": df.vec_id.astype(np.int64),
                              "code": [c.tobytes() for c in codes],
