@@ -3,11 +3,19 @@ entry at a given sf and compares against oracle_sql() via DuckDB —
 row count + schema + order-insensitive value compare (columns sorted by name,
 rows sorted by all columns). Usage:
 
-    python tools/minidriver.py [sf_dir] [query ...]
+    python tools/minidriver.py [sf_dir] [--hash] [query ...]
+    python tools/minidriver.py [sf_dir] --digest OUT.json [query ...]
+
+``--digest`` runs no oracle: it writes ``{query: {columns, dtypes, rows,
+digest}}`` of the engine's own output, the form of ``tests/golden/``. A
+caller that already ran ``ray.init(num_cpus=N)`` sweeps at N CPUs (the
+command line starts 8).
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 import sys
 
 import numpy as np
@@ -98,8 +106,42 @@ def compare(name, ray_df, sql_df, exact=False):
     return None
 
 
-def run(sf_dir, only=None, exact=False):
-    import duckdb
+def _cell_text(v):
+    """Exact text of one object cell: arrays by dtype, shape and bytes
+    (``str`` of an array rounds and elides), everything else by repr."""
+    if isinstance(v, np.ndarray):
+        return (f"{v.dtype}{v.shape}:" + hashlib.sha256(
+            np.ascontiguousarray(v).tobytes()).hexdigest())
+    if isinstance(v, (list, tuple)):
+        return "[" + ",".join(_cell_text(x) for x in v) + "]"
+    return repr(v)
+
+
+def digest(df: pd.DataFrame) -> dict:
+    """Columns, dtypes, row count and a sha256 of ``normalize(df)``.
+
+    Object cells become exact text first, so rows holding arrays sort;
+    every column then hashes as ``str`` values, which for floats is the
+    shortest round-trip repr: a one-ulp change changes the digest."""
+    df = df.reset_index(drop=True)
+    text = df.copy()
+    for c in text.columns:
+        if text[c].dtype == object:
+            text[c] = text[c].map(_cell_text)
+    n = normalize(text)
+    h = hashlib.sha256()
+    for c in n.columns:
+        h.update(f"{c}:{df[c].dtype};".encode())
+        h.update(pd.util.hash_pandas_object(n[c].astype(str),
+                                            index=False).to_numpy().tobytes())
+    return {"columns": sorted(map(str, df.columns)),
+            "dtypes": {str(c): str(df[c].dtype) for c in sorted(df.columns)},
+            "rows": len(df), "digest": h.hexdigest()}
+
+
+def _registry(sf_dir):
+    """The driver contract's module, in a Ray session (8 CPUs unless the
+    caller already started one)."""
     import ray
     import os
     import re
@@ -126,6 +168,28 @@ def run(sf_dir, only=None, exact=False):
     sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
     import __ray_entry__ as entrymod
 
+    return entrymod
+
+
+def digests(sf_dir, only=None):
+    """``{query: digest(output)}`` over the registry; a query that raises
+    maps to ``{"error": ...}``."""
+    out = {}
+    for name, fn in _registry(sf_dir).queries().items():
+        if only and name not in only:
+            continue
+        try:
+            out[name] = digest(to_pandas(fn(sf_dir)))
+        except Exception as e:
+            out[name] = {"error": f"{type(e).__name__}: {e}"}
+        print(f"{name:28s} {out[name].get('rows', 'ERROR')}", flush=True)
+    return out
+
+
+def run(sf_dir, only=None, exact=False):
+    import duckdb
+
+    entrymod = _registry(sf_dir)
     qs = entrymod.queries()
     oracles = entrymod.oracle_sql()
     con = duckdb.connect()
@@ -171,10 +235,20 @@ if __name__ == "__main__":
     args = sys.argv[1:]
     exact = "--hash" in args
     args = [a for a in args if a != "--hash"]
+    out_json = None
+    if "--digest" in args:
+        i = args.index("--digest")
+        out_json = args[i + 1]
+        del args[i:i + 2]
     # default to sf0.01 — the scale the driver compares at; the flagship
     # oracles are pinned to GRAFT_ORACLE_SF (default 0.01), so running the
     # queries at any other sf makes the flagship-derived rows mismatch.
     sf_dir = args[0] if args and args[0].startswith("/") else "/root/testdata/sf0.01"
     only = set(a for a in args if not a.startswith("/")) or None
+    if out_json:
+        got = digests(sf_dir, only)
+        with open(out_json, "w") as fh:
+            json.dump(got, fh, indent=1, sort_keys=True)
+        sys.exit(1 if any("error" in v for v in got.values()) else 0)
     bad = run(sf_dir, only, exact=exact)
     sys.exit(1 if bad else 0)
