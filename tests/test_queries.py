@@ -1604,6 +1604,56 @@ def _events_oracle(sf, name):
     return con.sql(ORACLES[name]).df()
 
 
+# The user-hash exchange operators; events_rolling_max is left out because
+# its oracle orders a user's events by ts alone, so ts ties leave it open.
+_USER_HASH_OPS = [
+    "events_sessionize", "events_asof_purchase", "events_user_lag",
+    "events_interval_join", "events_first_last_value",
+    "events_markov_transitions", "geo_user_paths", "geo_speed_outliers",
+    "geo_direction_rose", "events_latest_per_user", "events_distinct_users",
+    "events_funnel"]
+
+
+@pytest.mark.parametrize("name", _USER_HASH_OPS)
+def test_user_hash_ops_crafted(ray_session, tmp_path, name):
+    """Many users per hash bucket, timestamps tied within a user, users
+    with one event and users with no purchase: each operator matches its
+    oracle exactly."""
+    from tiff_enrichment_pipeline_ray.pipelines import queries as Q
+    from tools.minidriver import compare, to_pandas
+
+    rng = np.random.default_rng(3)
+    n = 400
+    types = np.array(["signup", "click", "purchase", "error", "view"])
+    df = pd.DataFrame({
+        "event_id": rng.permutation(n).astype(np.int64) * 7 + 1,
+        "ts": (pd.Timestamp("2024-01-01")
+               + pd.to_timedelta(rng.integers(0, 600, n), unit="min")),
+        "user_id": rng.integers(0, 60, n).astype(np.int64),
+        "event_type": types[rng.integers(0, 5, n)],
+        "value": np.round(rng.normal(10, 5, n), 3)})
+    df.loc[df.user_id < 5, "event_type"] = "view"  # users without purchase
+    sf = _write_events(tmp_path, df)
+    got = to_pandas(getattr(Q, name)(sf))
+    want = _events_oracle(sf, name)
+    assert compare(name, got, want, exact=True) is None
+
+
+def test_lex_searchsorted_matches_per_key_searchsorted():
+    from tiff_enrichment_pipeline_ray.pipelines import queries as Q
+
+    rng = np.random.default_rng(5)
+    ks = rng.integers(0, 6, 50)
+    vs = rng.integers(0, 20, 50)
+    o = np.lexsort((vs, ks))
+    ks, vs = ks[o], vs[o]
+    kq = rng.integers(-1, 7, 80)
+    vq = rng.integers(-2, 22, 80)
+    want = [np.searchsorted(ks, k) + np.searchsorted(vs[ks == k], v)
+            for k, v in zip(kq, vq)]
+    assert Q._lex_searchsorted(ks, vs, kq, vq).tolist() == want
+
+
 class TestRound5Crafted:
     """Adversarial parity for the round-5 analytics tier on crafted
     tables — each pins the edge its implementation note documents."""
@@ -2462,17 +2512,74 @@ def test_reduce_matches_pandas_and_sql_empty():
                                       "hi": None}
 
 
+def _keyed_input():
+    """Four blocks; every key ``k`` has rows in several blocks, and
+    ``bk`` = k % 3 is a bucket column a caller computed."""
+    import ray.data as rd
+
+    i = np.arange(60, dtype=np.int64)
+    full = pd.DataFrame({"k": (i * 7) % 11, "v": i})
+    full["bk"] = full.k % 3
+    chunks = [full.iloc[j::4].reset_index(drop=True) for j in range(4)]
+    ds = rd.from_pandas(chunks)
+    assert ds.materialize().num_blocks() == 4
+    return ds, full
+
+
+def _tag_calls():
+    """A UDF that returns the rows of one ``_exchange`` call, tagged with
+    a call id and the columns the call saw (defined in a function, so Ray
+    ships it by value, not by this module's name)."""
+    def calls(g: pd.DataFrame) -> pd.DataFrame:
+        import uuid
+
+        return g.assign(call=uuid.uuid4().hex, cols=",".join(g.columns))
+    return calls
+
+
+@pytest.mark.parametrize("n", [1, 3, 16])
+def test_exchange_hash_mode(n):
+    """Hash mode hands ``fn`` whole buckets: every row of a key in one
+    call, at most ``n`` calls, no ``_bk`` column, and the same rows out
+    for any ``n``."""
+    from tiff_enrichment_pipeline_ray.pipelines import queries as Q
+
+    ds, full = _keyed_input()
+    got = Q._exchange(ds, "k", _tag_calls(), n=n).to_pandas()
+    assert (got.groupby("k").call.nunique() == 1).all()
+    assert got.call.nunique() <= n
+    assert set(got.cols) == {"k,v,bk"}
+    out = got[["k", "v", "bk"]].sort_values("v").reset_index(drop=True)
+    pd.testing.assert_frame_equal(out, full)
+
+
+def test_exchange_bucket_mode():
+    """Without ``n``, ``fn`` gets one group per value of the caller's
+    bucket column, and the column reaches it unchanged."""
+    from tiff_enrichment_pipeline_ray.pipelines import queries as Q
+
+    ds, full = _keyed_input()
+    got = Q._exchange(ds, "bk", _tag_calls()).to_pandas()
+    assert (got.groupby("call").bk.nunique() == 1).all()
+    assert got.call.nunique() == 3
+    assert set(got.cols) == {"k,v,bk"}
+    out = got[["k", "v", "bk"]].sort_values("v").reset_index(drop=True)
+    pd.testing.assert_frame_equal(out, full)
+
+
 @pytest.fixture(scope="module")
 def empty_sf(gate, tmp_path_factory):
-    """The gate's sf with zero-row ``events``, ``documents`` and
-    ``lineitem`` (same schemas; an empty parquet file's one row group has
-    no min/max statistics) and every other table linked in unchanged."""
+    """The gate's sf with zero-row ``events``, ``documents``, ``lineitem``
+    and ``embeddings`` (same schemas; an empty parquet file's one row group
+    has no min/max statistics) and every other table linked in
+    unchanged."""
     import pyarrow.parquet as pq
 
     _entry, _con, src = gate
     d = tmp_path_factory.mktemp("empty_sf")
     for f in sorted(os.listdir(src)):
-        if f in ("events.parquet", "documents.parquet", "lineitem.parquet"):
+        if f in ("events.parquet", "documents.parquet", "lineitem.parquet",
+                 "embeddings.parquet"):
             pq.write_table(pq.read_table(os.path.join(src, f)).slice(0, 0),
                            str(d / f))
         else:
@@ -2531,12 +2638,13 @@ def test_scan_op_empty_input_matches_oracle(gate, empty_sf, name):
 
 @pytest.mark.parametrize("name,sql_rows", [
     ("q6_forecast_revenue", 1), ("geo_emerging_hotspots", 0),
-    ("events_cusum_changepoint", 0)])
+    ("events_cusum_changepoint", 0), ("events_user_setops", 1)])
 def test_reduce_op_empty_input_matches_oracle(gate, empty_sf, name,
                                               sql_rows):
     """Over an empty fact table the keyless totals give the oracle's
-    answer: q6 SQL's one row (revenue NULL, n_rows 0), the day-range
-    operators typed zero rows."""
+    answer: q6 SQL's one row (revenue NULL, n_rows 0), the user set
+    operations' one row of NULL sums, the day-range operators typed zero
+    rows."""
     import duckdb
 
     from tools.minidriver import compare, to_pandas
@@ -2549,5 +2657,24 @@ def test_reduce_op_empty_input_matches_oracle(gate, empty_sf, name,
     ray_df = to_pandas(entrymod.queries()[name](empty_sf))
     sql_df = con.sql(entrymod.oracle_sql()[name]).df()
     assert len(sql_df) == sql_rows
+    err = compare(name, ray_df, sql_df, exact=True)
+    assert err is None, err
+
+
+def test_ann_topk_cosine_empty_embeddings(gate, empty_sf):
+    """With no embedding row there is no query vector: the query returns
+    the oracle's zero rows, typed, instead of raising."""
+    import duckdb
+
+    from tools.minidriver import compare, to_pandas
+
+    entrymod, _con, _sf_dir = gate
+    con = duckdb.connect()
+    con.sql("CREATE VIEW embeddings AS SELECT * FROM "
+            f"read_parquet('{empty_sf}/embeddings.parquet')")
+    name = "ann_topk_cosine"
+    ray_df = to_pandas(entrymod.queries()[name](empty_sf))
+    sql_df = con.sql(entrymod.oracle_sql()[name]).df()
+    assert len(sql_df) == 0
     err = compare(name, ray_df, sql_df, exact=True)
     assert err is None, err

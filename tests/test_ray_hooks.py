@@ -7,8 +7,10 @@ of Ray's internals can vanish without an error on a Ray upgrade, leaving
 code that relied on it to fail far from the cause.
 
 Modules under ``pipelines/`` and ``stages/`` also import nothing from
-``ray.data.aggregate``: the query layer's exchanges are its own
-(``_preagg``, ``_dsjoin``, bucket ``map_groups``).
+``ray.data.aggregate``: the query layer's exchanges are its own. They all
+run through ``queries._exchange``, the one ``map_groups`` call of the
+query layer; the flagship's partition writer (``run_flagship``) holds the
+package's only other one.
 
 Driver state reaches a map task in the UDF's closure, which Ray puts into
 the object store once per operator. So no module calls ``ray.put`` or tests
@@ -161,6 +163,24 @@ def _broadcasts(tree):
             return expr.attr
         return members.get(expr.id) if isinstance(expr, ast.Name) else None
 
+    def form(call):
+        if member(call.func) == "put":
+            return "put"
+        if (isinstance(call.func, ast.Name) and call.func.id == "isinstance"
+                and len(call.args) == 2):
+            t = call.args[1]
+            if any(member(e) == "ObjectRef" for e in
+                   (t.elts if isinstance(t, ast.Tuple) else [t])):
+                return "ObjectRef"
+        return None
+
+    return _owned_calls(tree, form)
+
+
+def _owned_calls(tree, form):
+    """(line, enclosing def, form) of every call for which ``form(call)``
+    names a form; the enclosing def is dotted through nested defs and
+    classes ("" at module level)."""
     out = []
 
     def walk(node, owner):
@@ -170,15 +190,9 @@ def _broadcasts(tree):
                                   ast.ClassDef)):
                 own = f"{owner}.{child.name}" if owner else child.name
             elif isinstance(child, ast.Call):
-                if member(child.func) == "put":
-                    out.append((child.lineno, owner, "put"))
-                elif (isinstance(child.func, ast.Name)
-                      and child.func.id == "isinstance"
-                      and len(child.args) == 2):
-                    t = child.args[1]
-                    if any(member(e) == "ObjectRef" for e in
-                           (t.elts if isinstance(t, ast.Tuple) else [t])):
-                        out.append((child.lineno, owner, "ObjectRef"))
+                f = form(child)
+                if f:
+                    out.append((child.lineno, owner, f))
             walk(child, own)
 
     walk(tree, "")
@@ -215,3 +229,61 @@ def test_detects_broadcast_forms():
     assert sorted(_broadcasts(ast.parse(src))) == [
         (5, "f", "put"), (8, "f.C.g", "put"), (9, "f.C.g", "ObjectRef"),
         (10, "f", "put"), (11, "f", "ObjectRef")]
+
+
+# (module, enclosing def) allowed to call ``map_groups``.
+MAP_GROUPS_OWNERS = {
+    ("tiff_enrichment_pipeline_ray/pipelines/queries.py", "_exchange"),
+    ("tiff_enrichment_pipeline_ray/pipelines/flagship.py", "run_flagship"),
+}
+
+
+def _map_groups_calls(tree):
+    """(line, enclosing def, "map_groups") of every ``….map_groups(…)``
+    call and every ``getattr(…, "map_groups")``, whatever the receiver."""
+    def form(call):
+        f = call.func
+        if isinstance(f, ast.Attribute) and f.attr == "map_groups":
+            return "map_groups"
+        if (isinstance(f, ast.Name) and f.id == "getattr"
+                and len(call.args) >= 2
+                and isinstance(call.args[1], ast.Constant)
+                and call.args[1].value == "map_groups"):
+            return "map_groups"
+        return None
+
+    return _owned_calls(tree, form)
+
+
+def test_one_keyed_exchange():
+    """Every keyed exchange of the query layer runs through
+    ``queries._exchange``: no other function in the package calls
+    ``map_groups``, except the flagship's partition writer."""
+    found = []
+    for d, _, files in os.walk(PACKAGE):
+        for f in sorted(files):
+            if f.endswith(".py"):
+                path = os.path.join(d, f)
+                with open(path) as fh:
+                    tree = ast.parse(fh.read(), path)
+                rel = os.path.relpath(path, ROOT)
+                found += [f"{rel}:{line} {owner}"
+                          for line, owner, _ in _map_groups_calls(tree)
+                          if (rel, owner) not in MAP_GROUPS_OWNERS]
+    assert not found, f"{len(found)} map_groups call sites: {found}"
+
+
+def test_detects_map_groups_forms():
+    src = ("def f(ds):\n"
+           "    g = ds.groupby('k')\n"
+           "    a = g.map_groups(len, batch_format='pandas')\n"
+           "    def inner(d):\n"
+           "        return d.groupby('k').map_groups(len)\n"
+           "    m = getattr(g, 'map_groups')\n"
+           "    return g.map_batches(len), getattr(g, 'count')\n"
+           "class C:\n"
+           "    def h(self, g):\n"
+           "        return g.map_groups(len)\n")
+    assert sorted(_map_groups_calls(ast.parse(src))) == [
+        (3, "f", "map_groups"), (5, "f.inner", "map_groups"),
+        (6, "f", "map_groups"), (10, "C.h", "map_groups")]

@@ -15,15 +15,16 @@ Float discipline (so Ray and DuckDB hash-match bit-for-bit):
 - geo-derived queries use integer-only or expression-identical arithmetic
   (documented per query) so values match exactly without rounding.
 
-A query's exchanges take three forms only:
-- ``_preagg`` (keyed aggregates): a per-block arrow partial inside
-  map_batches, then a small groupby over the partials — the shuffle moves
-  one row per (key × block), not one per input row;
-- ``_dsjoin`` (joins): one bucket co-group;
-- a bucket ``groupby(...).map_groups`` written by the query.
-Global top-k runs through ``_topk`` and keyless totals through ``_reduce``:
-per-block partials merged on the driver, with no exchange. No query calls
-``Dataset.sort`` or a Ray aggregate.
+A query's exchanges take one form: ``_exchange``, the query layer's one
+``groupby(...).map_groups``. It hashes a key into ``n`` buckets, or groups
+by a column the caller already bucketed or a category with a bounded
+domain. Keyed aggregates (``_preagg``: per-block arrow partials, then a
+hash exchange that moves one row per (key × block)), joins (``_dsjoin``:
+one bucket co-group) and every per-bucket operator run on it.
+
+Global top-k runs through ``_topk`` and keyless totals through
+``_reduce``: per-block partials merged on the driver, with no exchange. No
+query calls ``Dataset.sort`` or a Ray aggregate.
 
 Driver state a map task needs (a Bloom filter, centroids, a raster, the
 station layer, query vectors) reaches it one way only: the map UDF captures
@@ -46,22 +47,59 @@ from ..sources.tables import read_testdata, testdata_path
 # --------------------------------------------------------------- helpers
 
 
+def _nhash() -> int:
+    """Bucket count of a hash exchange: one bucket per session CPU, at
+    least 8. ``_exchange``'s hash mode and ``_dsjoin`` both use it."""
+    import ray
+
+    return max(8, int(ray.cluster_resources().get("CPU", 8)))
+
+
+def _exchange(ds, key, fn, n=None, batch_format="pandas"):
+    """The query layer's one keyed exchange: a sort-based
+    ``groupby(...).map_groups``.
+
+    With ``n`` (hash mode), a fused whole-block map hashes the ``key``
+    column(s) into a private ``_bk`` column,
+    ``pd.util.hash_pandas_object(df[keys], index=False) % n``; the exchange
+    groups by ``_bk`` and ``fn`` gets each whole bucket without ``_bk``. So
+    every row of a key reaches one call, ``fn`` runs at most ``n`` times,
+    and it must handle many keys per call.
+
+    Without ``n``, ``key`` is a column the caller already bucketed (grid
+    cell, ghost, ordered-scan, LSH or join buckets) or a category with a
+    bounded domain, and ``fn`` gets one group per distinct value, as
+    ``map_groups`` gives it."""
+    if n is None:
+        return ds.groupby(key).map_groups(fn, batch_format=batch_format)
+    keys = [key] if isinstance(key, str) else list(key)
+
+    def bucket(df: pd.DataFrame) -> pd.DataFrame:
+        h = pd.util.hash_pandas_object(df[keys], index=False).to_numpy()
+        return df.assign(_bk=(h % np.uint64(n)).astype(np.int32))
+
+    def whole(g):
+        return fn(g.drop(columns=["_bk"]) if batch_format == "pandas"
+                  else g.drop_columns(["_bk"]))
+
+    return _exchange(ds.map_batches(bucket, batch_format="pandas",
+                                    batch_size=None),
+                     "_bk", whole, batch_format=batch_format)
+
+
 def _preagg(ds, keys, spec):
     """spec: [(out_col, src_col|None, op)] with op ∈ sum|count|min|max.
     count with src None = COUNT(*). Returns the aggregated Dataset.
 
-    Two-stage hash aggregate: per-block arrow partials, then a shuffle on a
-    single int32 hash-partition key and a vectorized pandas combine per
-    partition.  Shuffling on ``_pk`` instead of the raw (possibly multi-
+    Two-stage hash aggregate: per-block arrow partials, then a hash
+    ``_exchange`` on the keys and a vectorized pandas combine per bucket.
+    Exchanging on one int32 bucket instead of the raw (possibly multi-
     string) key matters: Ray's sort-based Aggregate combine walks rows in
     Python per group boundary, which measured ~17 s for a 40k-group/100k-row
     events aggregate where this pattern takes ~4 s.  The shuffle moves one
-    row per (key × block), and each combine group holds ~n_groups/P rows —
+    row per (key × block), and each combine bucket holds ~n_groups/n rows —
     bounded regardless of input row count."""
-    import ray
-
     keys = list(keys)
-    npart = max(8, int(ray.cluster_resources().get("CPU", 8)))
 
     def combine(df: pd.DataFrame) -> pd.DataFrame:
         g = df.groupby(keys, dropna=False, sort=False)
@@ -74,8 +112,7 @@ def _preagg(ds, keys, spec):
 
     def partial(t: pa.Table) -> pa.Table:
         """Arrow-native partial: zero-copy block in, pyarrow hash-group
-        kernel, no block-wide pandas conversion; only the (one row per
-        group) OUTPUT touches pandas, for the _pk hash. Faster than a
+        kernel, no block-wide pandas conversion. Faster than a
         pandas-groupby partial at sf0.1/32 (BASELINE.md round 5: q1 +21%,
         events_hourly +12%)."""
         aggs = []
@@ -88,11 +125,7 @@ def _preagg(ds, keys, spec):
                 aggs.append((src, op))
                 names[f"{src}_{op}"] = out
         g = t.group_by(keys, use_threads=False).aggregate(aggs)
-        g = g.rename_columns([names.get(c, c) for c in g.schema.names])
-        out = g.to_pandas()
-        out["_pk"] = (pd.util.hash_pandas_object(out[keys], index=False)
-                      % npart).astype("int32")
-        return pa.Table.from_pandas(out, preserve_index=False)
+        return g.rename_columns([names.get(c, c) for c in g.schema.names])
 
     # partial names pyarrow's output columns back by (src, op), so a
     # repeated pair — two COUNT(*) entries are (None, "count") twice —
@@ -103,8 +136,7 @@ def _preagg(ds, keys, spec):
     # whole-block partials: combining works at block granularity (a 1024-row
     # default batch barely combines on high-cardinality keys)
     pds = ds.map_batches(partial, batch_format="pyarrow", batch_size=None)
-    return pds.groupby("_pk").map_groups(
-        lambda df: combine(df.drop(columns=["_pk"])), batch_format="pandas")
+    return _exchange(pds, keys, combine, n=_nhash())
 
 
 def _topk(ds, by, ascending, k: int) -> pd.DataFrame:
@@ -228,7 +260,7 @@ def _bucket_offsets(slim, key: str, spec: tuple, scan=np.cumsum, init=0):
     bucket from ``init``: bucket b's offset aggregates every bucket < b.
 
     Returns (partials sorted by bucket, {bucket: exclusive offset}). Phase 2
-    is the caller's ``groupby(key).map_groups``: sort inside the bucket and
+    is the caller's ``_exchange(slim, key, fn)``: sort inside the bucket and
     apply its offset. An empty ``slim`` gives a zero-row partial frame that
     still has the ``key`` and ``spec`` columns, and no offsets."""
     parts = _preagg(slim, [key], [spec]).to_pandas()
@@ -326,8 +358,8 @@ def _spread_read(sf_dir: str, table: str, columns,
 
 def _dsjoin(left, right, on, join_type="inner", right_on=None):
     """Distributed hash join on the engine's bucket exchange: ONE
-    ``groupby("bk").map_groups`` co-group over ``max(4, CPUs)`` buckets.
-    Each side's map task hashes the key columns (integer keys widened to
+    ``_exchange`` co-group over ``_nhash()`` buckets. Each side's map
+    task hashes the key columns (integer keys widened to
     int64, so an int32 and an int64 side agree) and sends EVERY bucket one
     Arrow IPC piece of its rows, zero rows included, carrying the side's
     schema. The bucket task concatenates each side's pieces (permissive
@@ -339,10 +371,8 @@ def _dsjoin(left, right, on, join_type="inner", right_on=None):
     piece and its schema is unknown: ``left_anti`` then returns the left
     rows, ``inner`` and ``left_semi`` no rows, and any other join type
     raises ``ValueError`` naming it."""
-    import ray
-
     right_on = tuple(right_on or on)
-    nb = max(4, int(ray.cluster_resources().get("CPU", 8)))
+    nb = _nhash()
 
     def pieces(side, keys):
         def split(t: pa.Table) -> pa.Table:
@@ -382,11 +412,11 @@ def _dsjoin(left, right, on, join_type="inner", right_on=None):
             return lt if join_type == "left_anti" else lt.slice(0, 0)
         return pa.table({})
 
-    return (left.map_batches(pieces(0, list(on)), batch_format="pyarrow",
+    sent = (left.map_batches(pieces(0, list(on)), batch_format="pyarrow",
                              batch_size=None)
             .union(right.map_batches(pieces(1, list(right_on)),
-                                     batch_format="pyarrow", batch_size=None))
-            .groupby("bk").map_groups(bucket, batch_format="pyarrow"))
+                                     batch_format="pyarrow", batch_size=None)))
+    return _exchange(sent, "bk", bucket, batch_format="pyarrow")
 
 
 def q1_pricing_summary(sf_dir: str):
@@ -735,11 +765,11 @@ def q4_bloom_semijoin(sf_dir: str, p: int = 20):
             acc = bf.merge(acc, np.frombuffer(b, dtype=np.uint8))
         return pd.DataFrame({"bits": [acc.tobytes()]})
 
-    parts = (orders.select_columns(["o_orderkey"])
-             .map_batches(bloom_partial, batch_format="pandas",
-                          batch_size=None)
-             .groupby("_pk").map_groups(bloom_or, batch_format="pandas")
-             .to_pandas())  # ≤ nmerge one-row partials reach the driver
+    partials = (orders.select_columns(["o_orderkey"])
+                .map_batches(bloom_partial, batch_format="pandas",
+                             batch_size=None))
+    # ≤ nmerge one-row partials reach the driver
+    parts = _exchange(partials, "_pk", bloom_or).to_pandas()
     acc = bf.empty(p)
     for b in parts.bits:
         acc = bf.merge(acc, np.frombuffer(b, dtype=np.uint8))
@@ -1080,7 +1110,7 @@ def events_value_percentiles(sf_dir: str):
             "p75": [round(float(q.iloc[2]), 6)],
         })
 
-    return ev.groupby("event_type").map_groups(grp, batch_format="pandas")
+    return _exchange(ev, "event_type", grp)
 
 
 def events_value_percentiles_tdigest(sf_dir: str, delta: float = 400.0):
@@ -1116,8 +1146,8 @@ def events_value_percentiles_tdigest(sf_dir: str, delta: float = 400.0):
             "p75": [round(float(p[2]), 6)],
         })
 
-    return (ev.map_batches(partial, batch_format="pandas", batch_size=None)
-            .groupby("event_type").map_groups(final, batch_format="pandas"))
+    return _exchange(ev.map_batches(partial, batch_format="pandas",
+                                    batch_size=None), "event_type", final)
 
 
 def events_type_minmax(sf_dir: str):
@@ -1138,14 +1168,42 @@ def events_type_minmax(sf_dir: str):
 # ------------------------------------------- streaming-window operators
 #
 # Session windows, as-of/range joins and ordered per-key windows are the
-# reference's "streaming" surface re-expressed Ray-Data-first: ONE shuffle
-# keyed on the stream key (user_id), then vectorized numpy over each key's
-# (bounded) history inside groupby().map_groups. Outputs are integer-only or
+# reference's "streaming" surface re-expressed Ray-Data-first: ONE
+# user-hash exchange on the stream key (user_id), then vectorized numpy over
+# each bucket's rows sorted by (user, ts). Outputs are integer-only or
 # order-insensitive (max) so the DuckDB oracles match bit-for-bit.
 
 
 def _epoch_us(s: pd.Series) -> np.ndarray:
     return s.to_numpy(dtype="datetime64[us]").astype(np.int64)
+
+
+def _by_user(g: pd.DataFrame, *order: str):
+    """A user-hash bucket's rows sorted by (user_id, ts, *order): returns
+    (sorted frame, user ids, µs timestamps, first-row-of-user mask). The
+    sort is stable, so rows tied on every key keep their arrival order."""
+    uid = g.user_id.to_numpy(np.int64)
+    us = _epoch_us(g.ts)
+    o = np.lexsort(tuple(g[c].to_numpy() for c in reversed(order))
+                   + (us, uid))
+    uid, us = uid[o], us[o]
+    first = np.ones(len(uid), bool)
+    first[1:] = uid[1:] != uid[:-1]
+    return g.iloc[o].reset_index(drop=True), uid, us, first
+
+
+def _lex_searchsorted(ks, vs, kq, vq) -> np.ndarray:
+    """How many rows (ks, vs) sort before each query (kq, vq) by the
+    two-column key (k, v): ``np.searchsorted(side="left")`` over rows
+    sorted by (k, v), done as one stable sort of rows and queries
+    together (a query goes before a row with its own key)."""
+    isrow = np.r_[np.ones(len(ks), np.int64), np.zeros(len(kq), np.int64)]
+    o = np.lexsort((isrow, np.r_[vs, vq], np.r_[ks, kq]))
+    before = np.cumsum(isrow[o]) - isrow[o]
+    out = np.empty(len(kq), np.int64)
+    q = o >= len(ks)
+    out[o[q] - len(ks)] = before[q]
+    return out
 
 
 def _daily_type_counts(sf_dir: str) -> pd.DataFrame:
@@ -1168,79 +1226,70 @@ def _daily_type_counts(sf_dir: str) -> pd.DataFrame:
 def events_sessionize(sf_dir: str, gap_min: int = 30):
     """Session windows per user (a gap > 30 min opens a new session) —
     gaps-and-islands over the events stream. At 100 TB a single user's
-    history still fits a group (stream keys are bounded); the one shuffle
-    is keyed on user_id."""
+    history still fits a bucket (stream keys are bounded); the one
+    exchange is a user-hash exchange, and a session starts at each user's
+    first event or after a gap."""
     ev = read_testdata(sf_dir, "events", columns=["user_id", "ts"])
     gap_us = gap_min * 60_000_000
 
-    def per_user(g: pd.DataFrame) -> pd.DataFrame:
-        if not len(g):
-            return pd.DataFrame(columns=["user_id", "n_sessions", "n_events",
-                                         "total_session_us",
-                                         "max_session_events"])
-        us = np.sort(_epoch_us(g.ts))
-        new = np.ones(len(us), dtype=bool)
-        new[1:] = np.diff(us) > gap_us
-        starts = np.flatnonzero(new)
+    def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
+        _, uid, us, first = _by_user(g)
+        starts = np.flatnonzero(first | (np.diff(us, prepend=0) > gap_us))
         ends = np.r_[starts[1:], len(us)]
-        return pd.DataFrame({
-            "user_id": [int(g.user_id.iloc[0])],
-            "n_sessions": [int(len(starts))],
-            "n_events": [int(len(us))],
-            "total_session_us": [int((us[ends - 1] - us[starts]).sum())],
-            "max_session_events": [int((ends - starts).max())],
-        })
+        s = pd.DataFrame({"user_id": uid[starts], "n": ends - starts,
+                          "dur": us[ends - 1] - us[starts]})
+        return (s.groupby("user_id", sort=False)
+                .agg(n_sessions=("n", "size"), n_events=("n", "sum"),
+                     total_session_us=("dur", "sum"),
+                     max_session_events=("n", "max"))
+                .reset_index())
 
-    return ev.groupby("user_id").map_groups(per_user, batch_format="pandas")
+    return _exchange(ev, "user_id", per_bucket, n=_nhash())
 
 
 def events_asof_purchase(sf_dir: str):
     """As-of + range join of every event against the user's 'purchase'
     stream: count and last-timestamp of strictly-earlier purchases, plus
-    the [ts-1h, ts) range-join count — sort + searchsorted inside the
-    user_id shuffle (no per-row Python). Oracle: equivalent inequality
-    join in SQL."""
+    the [ts-1h, ts) range-join count — a (user, ts) sort + searchsorted
+    inside the user-hash exchange (no per-row Python). Oracle: equivalent
+    inequality join in SQL."""
     ev = read_testdata(sf_dir, "events",
                        columns=["event_id", "user_id", "ts", "event_type"])
     HOUR = 3_600_000_000
 
-    def per_user(g: pd.DataFrame) -> pd.DataFrame:
-        us = _epoch_us(g.ts)
-        order = np.argsort(us, kind="stable")
-        us = us[order]
-        ref = us[g.event_type.to_numpy()[order] == "purchase"]
-        n_prior = np.searchsorted(ref, us, side="left")
-        n_1h = n_prior - np.searchsorted(ref, us - HOUR, side="left")
-        last = np.where(n_prior > 0, ref[np.maximum(n_prior - 1, 0)], -1)
+    def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
+        g, uid, us, _ = _by_user(g)
+        buy = g.event_type.to_numpy() == "purchase"
+        pu, pt = uid[buy], us[buy]  # sorted by (user, ts)
+        at = _lex_searchsorted(pu, pt, uid, us)
+        n_prior = at - np.searchsorted(pu, uid, side="left")
+        n_1h = at - _lex_searchsorted(pu, pt, uid, us - HOUR)
+        last = np.r_[-1, pt][np.where(n_prior > 0, at, 0)]
         return pd.DataFrame({
-            "event_id": g.event_id.to_numpy()[order],
-            "n_prior_purchase": n_prior.astype(np.int64),
-            "n_purchase_1h": n_1h.astype(np.int64),
+            "event_id": g.event_id.to_numpy(),
+            "n_prior_purchase": n_prior,
+            "n_purchase_1h": n_1h,
             "last_purchase_us": last.astype(np.int64)})
 
-    return ev.groupby("user_id").map_groups(per_user, batch_format="pandas")
+    return _exchange(ev, "user_id", per_bucket, n=_nhash())
 
 
 def events_user_lag(sf_dir: str):
     """Per-row LAG window function: µs gap to the same user's previous
-    event (−1 for the first). One shuffle keyed on user_id, vectorized
-    np.diff per group — the Ray-Data form of
+    event (−1 for the first). One user-hash exchange, then one (user, ts,
+    event_id) sort and np.diff per bucket — the Ray-Data form of
     LAG(...) OVER (PARTITION BY user_id ORDER BY ts, event_id).
     Integer-µs arithmetic on both engines → bit-exact SQL parity."""
     ev = read_testdata(sf_dir, "events", columns=["event_id", "user_id",
                                                   "ts"])
 
-    def per_user(g: pd.DataFrame) -> pd.DataFrame:
-        us = _epoch_us(g.ts)
-        order = np.lexsort((g.event_id.to_numpy(), us))
-        gap = np.empty(len(us), dtype=np.int64)
-        gap[0] = -1
-        gap[1:] = np.diff(us[order])
-        return pd.DataFrame({"event_id": g.event_id.to_numpy()[order],
-                             "user_id": g.user_id.to_numpy(),
-                             "gap_us": gap})
+    def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
+        g, uid, us, first = _by_user(g, "event_id")
+        return pd.DataFrame({
+            "event_id": g.event_id.to_numpy(), "user_id": uid,
+            "gap_us": np.where(first, -1, np.diff(us, prepend=0))})
 
-    return ev.groupby("user_id").map_groups(per_user, batch_format="pandas")
+    return _exchange(ev, "user_id", per_bucket, n=_nhash())
 
 
 def events_value_cume_dist(sf_dir: str):
@@ -1262,25 +1311,28 @@ def events_value_cume_dist(sf_dir: str):
                              "event_type": g.event_type.to_numpy(),
                              "cume": np.round(cume, 6)})
 
-    return ev.groupby("event_type").map_groups(per_type,
-                                               batch_format="pandas")
+    return _exchange(ev, "event_type", per_type)
 
 
 def events_rolling_max(sf_dir: str, window: int = 10):
     """Trailing-10-row rolling max of value per user ordered by ts — a
     per-key ordered window aggregate. max is order-insensitive, so after
-    input rounding the result is bit-exact vs SQL."""
+    input rounding the result is bit-exact vs SQL. One user-hash exchange,
+    then a (user, ts, event_id) sort and one grouped rolling max per
+    bucket; event_id orders a user's events on one timestamp, which SQL's
+    ORDER BY ts leaves open."""
     ev = read_testdata(sf_dir, "events",
                        columns=["event_id", "user_id", "ts", "value"])
 
-    def per_user(g: pd.DataFrame) -> pd.DataFrame:
-        order = np.argsort(_epoch_us(g.ts), kind="stable")
-        v = pd.Series(g.value.to_numpy()[order].round(6))
-        return pd.DataFrame({
-            "event_id": g.event_id.to_numpy()[order],
-            "roll_max10": v.rolling(window, min_periods=1).max().to_numpy()})
+    def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
+        g, uid, _, _ = _by_user(g, "event_id")
+        v = pd.Series(g.value.to_numpy().round(6))
+        roll = (v.groupby(uid, sort=False).rolling(window, min_periods=1)
+                .max().reset_index(level=0, drop=True).sort_index())
+        return pd.DataFrame({"event_id": g.event_id.to_numpy(),
+                             "roll_max10": roll.to_numpy()})
 
-    return ev.groupby("user_id").map_groups(per_user, batch_format="pandas")
+    return _exchange(ev, "user_id", per_bucket, n=_nhash())
 
 
 def events_topk_per_type(sf_dir: str, k: int = 3):
@@ -1301,8 +1353,8 @@ def events_topk_per_type(sf_dir: str, k: int = 3):
         g = g.assign(rnk=np.arange(1, len(g) + 1, dtype=np.int64))
         return g[["event_type", "rnk", "event_id", "value"]]
 
-    return (ev.map_batches(part, batch_format="pandas")
-            .groupby("event_type").map_groups(final, batch_format="pandas"))
+    return _exchange(ev.map_batches(part, batch_format="pandas"),
+                     "event_type", final)
 
 
 def events_stratified_sample(sf_dir: str, n: int = 50):
@@ -1331,17 +1383,17 @@ def events_stratified_sample(sf_dir: str, n: int = 50):
                              "rnk": np.arange(1, len(g) + 1,
                                               dtype=np.int64)})
 
-    return (ev.map_batches(tag_topn, batch_format="pandas",
-                           batch_size=None)
-            .groupby("event_type").map_groups(per_type,
-                                              batch_format="pandas"))
+    return _exchange(ev.map_batches(tag_topn, batch_format="pandas",
+                                    batch_size=None), "event_type", per_type)
 
 
 def events_user_setops(sf_dir: str):
     """Distributed set operations (INTERSECT / EXCEPT / UNION over user
     sets): which users purchased, errored, did both, or either. Per-block
     flag dedup → one user-keyed max-flag aggregate (the shuffle carries one
-    row per user × block, not one per event) → tiny flag-sum summary."""
+    row per user × block, not one per event) → one ``_reduce`` of per-user
+    set-membership columns. Over no events it returns SQL's one row of
+    NULL sums."""
     ev = read_testdata(sf_dir, "events", columns=["user_id", "event_type"])
 
     def flags(df: pd.DataFrame) -> pd.DataFrame:
@@ -1355,20 +1407,20 @@ def events_user_setops(sf_dir: str):
     per_user = _preagg(ev.map_batches(flags, batch_format="pandas"),
                        ["user_id"], [("p", "p", "max"), ("e", "e", "max")])
 
-    def summarize(df: pd.DataFrame) -> pd.DataFrame:
+    def sets(df: pd.DataFrame) -> pd.DataFrame:
         p, e = df.p.to_numpy(np.int64), df.e.to_numpy(np.int64)
         return pd.DataFrame({
-            "n_purchase_users": [np.int64(p.sum())],
-            "n_error_users": [np.int64(e.sum())],
-            "n_both": [np.int64((p & e).sum())],
-            "n_purchase_only": [np.int64((p & (1 - e)).sum())],
-            "n_error_only": [np.int64((e & (1 - p)).sum())],
-            "n_either": [np.int64((p | e).sum())],
-        })
+            "n_purchase_users": p, "n_error_users": e, "n_both": p & e,
+            "n_purchase_only": p & (1 - e), "n_error_only": e & (1 - p),
+            "n_either": p | e})
 
-    parts = per_user.map_batches(summarize, batch_format="pandas",
-                                 batch_size=None).to_pandas()
-    return parts.sum().to_frame().T.astype(np.int64)
+    cols = ["n_purchase_users", "n_error_users", "n_both",
+            "n_purchase_only", "n_error_only", "n_either"]
+    tot = _reduce(per_user.map_batches(sets, batch_format="pandas"),
+                  [(c, c, "sum") for c in cols])
+    return pd.DataFrame({
+        c: np.array([np.nan]) if tot[c] is None
+        else np.array([tot[c]], np.int64) for c in cols})
 
 
 def events_latest_per_user(sf_dir: str):
@@ -1388,20 +1440,7 @@ def events_latest_per_user(sf_dir: str):
 
     part = ev.map_batches(latest_block, batch_format="pandas",
                           batch_size=None)
-    import ray
-
-    npart = max(8, int(ray.cluster_resources().get("CPU", 8)))
-
-    def pk(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["_pk"] = (df.user_id.to_numpy() % npart).astype("int32")
-        return df
-
-    def latest_final(df: pd.DataFrame) -> pd.DataFrame:
-        return latest_block(df.drop(columns=["_pk"]))
-
-    return (part.map_batches(pk, batch_format="pandas")
-            .groupby("_pk").map_groups(latest_final, batch_format="pandas"))
+    return _exchange(part, "user_id", latest_block, n=_nhash())
 
 
 def events_distinct_users(sf_dir: str):
@@ -1417,24 +1456,14 @@ def events_distinct_users(sf_dir: str):
 
     pairs = ev.map_batches(dedup_block, batch_format="pandas",
                            batch_size=None)
-    # hash-partition on user_id so each partition dedups globally, then sum
-    # per-type partial counts (tiny second shuffle: n_types × n_partitions)
-    import ray
-
-    npart = max(8, int(ray.cluster_resources().get("CPU", 8)))
-
-    def pk(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["_pk"] = (df.user_id.to_numpy() % npart).astype("int32")
-        return df
-
+    # hash exchange on user_id so each bucket dedups globally, then sum
+    # per-type partial counts (tiny second shuffle: n_types × n_buckets)
     def count_part(df: pd.DataFrame) -> pd.DataFrame:
-        u = df.drop(columns=["_pk"]).drop_duplicates(["event_type", "user_id"])
+        u = df.drop_duplicates(["event_type", "user_id"])
         g = u.groupby("event_type", sort=False).size()
         return pd.DataFrame({"event_type": g.index, "n_part": g.to_numpy()})
 
-    parts = (pairs.map_batches(pk, batch_format="pandas")
-             .groupby("_pk").map_groups(count_part, batch_format="pandas"))
+    parts = _exchange(pairs, "user_id", count_part, n=_nhash())
     return _preagg(parts, ["event_type"], [("n_users", "n_part", "sum")])
 
 
@@ -1500,8 +1529,8 @@ def events_hll_users(sf_dir: str, p: int = 12):
         return pd.DataFrame({"event_type": [g.event_type.iloc[0]],
                              "approx_users": [int(round(hll.estimate(reg)))]})
 
-    return (ev.map_batches(partial, batch_format="pandas", batch_size=None)
-            .groupby("event_type").map_groups(final, batch_format="pandas"))
+    return _exchange(ev.map_batches(partial, batch_format="pandas",
+                                    batch_size=None), "event_type", final)
 
 
 # --------------------------------------------------------- documents
@@ -1616,7 +1645,8 @@ def doc_quality_scores(sf_dir: str):
 def _query_vec(sf_dir):
     """Min-vec_id query vector WITHOUT reading the embedding column for the
     whole table: scan only the vec_id column, then a predicate-pushdown read
-    of the single matching row."""
+    of the single matching row. An empty table has no query: (None,
+    None)."""
     import pyarrow.compute as pc
     import pyarrow.dataset as pads
     import pyarrow.parquet as pq
@@ -1624,6 +1654,8 @@ def _query_vec(sf_dir):
     path = os.path.join(sf_dir, "embeddings.parquet")
     ids = pq.read_table(path, columns=["vec_id"]).column("vec_id")
     qid = pc.min(ids).as_py()
+    if qid is None:
+        return None, None
     row = pads.dataset(path).to_table(filter=pads.field("vec_id") == qid)
     return int(qid), np.asarray(row.column("embedding")[0].as_py(),
                                 dtype=np.float64)
@@ -1631,11 +1663,14 @@ def _query_vec(sf_dir):
 
 def ann_topk_cosine(sf_dir: str):
     """Brute-force cosine top-10 vs the min-vec_id query vector; the baseline
-    ANN path (numpy matmul per batch against a broadcast query)."""
+    ANN path (numpy matmul per batch against a broadcast query). With no
+    embedding row there is no query, and the result is the typed zero-row
+    frame."""
     from ..stages.ann import _cosine_topk
 
     qid, q = _query_vec(sf_dir)
-    return _cosine_topk([testdata_path(sf_dir, "embeddings")], q, 10, qid)
+    paths = [] if qid is None else [testdata_path(sf_dir, "embeddings")]
+    return _cosine_topk(paths, q, 10, qid)
 
 
 def ann_knn_join(sf_dir: str, n_queries: int = 32, k: int = 5):
@@ -1689,7 +1724,7 @@ def ann_knn_join(sf_dir: str, n_queries: int = 32, k: int = 5):
         g["rank"] = np.arange(1, len(g) + 1, dtype=np.int64)
         return g
 
-    return parts.groupby("query_id").map_groups(merge, batch_format="pandas")
+    return _exchange(parts, "query_id", merge)
 
 
 def embedding_label_stats(sf_dir: str):
@@ -2021,8 +2056,7 @@ def band_stats_by_class(sf_dir: str):
             "p75_med": [round(float(q.iloc[2]), 6)],
         })
 
-    pct = (med.groupby(["file_class", "band"])
-           .map_groups(grp_pct, batch_format="pandas").to_pandas())
+    pct = _exchange(med, ["file_class", "band"], grp_pct).to_pandas()
     df = df.merge(pct, on=["file_class", "band"], how="left")
     return df[["file_class", "band", "n_px", "mean_px", "std_px",
                "p25_med", "p50_med", "p75_med"]]
@@ -2212,7 +2246,8 @@ def micasense_sets(sf_dir: str):
     order (filesystem-dependent); sorted order is the deterministic
     stand-in. The robust regex classifier in stages/extract.py is the
     shipped variant; this one exists for parity with the reference CLI.
-    Scale: one shuffle of a slim 2-column table; groups are capture-sized.
+    Scale: one set-name-hash exchange of a slim 2-column table; each
+    bucket ranks its sets' files in one sort.
     """
     import ray.data as rd
 
@@ -2226,17 +2261,18 @@ def micasense_sets(sf_dir: str):
 
     BANDS = np.array(["Blue", "Green", "Red", "NIR", "RedEdge"])
 
-    def grp(g: pd.DataFrame) -> pd.DataFrame:
-        if len(g) < 5:
-            return pd.DataFrame({"set_name": pd.Series([], dtype=str),
-                                 "band_name": pd.Series([], dtype=str),
-                                 "image_id": pd.Series([], dtype=str)})
-        ids = np.sort(g.image_id.to_numpy(dtype=object))[:5]
-        return pd.DataFrame({"set_name": [g.set_name.iloc[0]] * 5,
-                             "band_name": BANDS, "image_id": ids})
+    def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
+        g = g.sort_values(["set_name", "image_id"], kind="stable")
+        by_set = g.groupby("set_name", sort=False)
+        pos = by_set.cumcount().to_numpy()
+        keep = (pos < 5) & (by_set.image_id.transform("size").to_numpy() >= 5)
+        return pd.DataFrame({
+            "set_name": g.set_name.to_numpy(object)[keep],
+            "band_name": BANDS[pos[keep]].astype(object),
+            "image_id": g.image_id.to_numpy(object)[keep]})
 
-    return (ds.map_batches(key, batch_format="pandas")
-            .groupby("set_name").map_groups(grp, batch_format="pandas"))
+    return _exchange(ds.map_batches(key, batch_format="pandas"),
+                     "set_name", per_bucket, n=_nhash())
 
 
 def image_exact_dedup(sf_dir: str):
@@ -2314,9 +2350,8 @@ def image_phash_near_dup(sf_dir: str, max_hamming: int = 3):
                          "hamming": pa.array(h, pa.int64())})
 
     # pairs are globally unique by the first-band rule — no dedup exchange
-    return (imgs.map_batches(band_rows, batch_format="pandas")
-            .groupby("kbucket")
-            .map_groups(pairs_in_bucket, batch_format="pandas"))
+    return _exchange(imgs.map_batches(band_rows, batch_format="pandas"),
+                     "kbucket", pairs_in_bucket)
 
 
 def caption_exact_dedup(sf_dir: str):
@@ -2404,8 +2439,7 @@ def minhash_candidate_pairs(sf_dir: str):
         return pd.DataFrame(out, columns=["doc_a", "doc_b"])
 
     # pairs are globally unique by the first-band rule — no dedup exchange
-    return (ds.groupby("kbucket")
-            .map_groups(pairs_in_bucket, batch_format="pandas"))
+    return _exchange(ds, "kbucket", pairs_in_bucket)
 
 
 def dedup_minhash_docs(sf_dir: str, threshold: float = 0.5):
@@ -2567,13 +2601,11 @@ def _verify_jaccard_pairs(sf_dir: str, cand, threshold: float):
     # verify sorts were 2.9 s each at sf0.1 before this (round 4). Block
     # count scales with the candidate-bounded row volume.
     nblk = _nbuckets(ndocs + 2 * npairs, rows_per_bucket=2048, lo=8)
-    return (sh_rows.map_batches(add_b1, batch_format="pandas")
+    rows = (sh_rows.map_batches(add_b1, batch_format="pandas")
             .union(pair_rows.map_batches(add_b1, batch_format="pandas"))
-            .repartition(nblk)
-            .groupby("b1")
-            .map_groups(attach_bucket, batch_format="pandas")
-            .groupby("b2")
-            .map_groups(verify_bucket, batch_format="pandas"))
+            .repartition(nblk))
+    return _exchange(_exchange(rows, "b1", attach_bucket), "b2",
+                     verify_bucket)
 
 
 def doc_ngram_jaccard_pairs(sf_dir: str, threshold: float = 0.6):
@@ -2650,9 +2682,8 @@ def doc_ngram_jaccard_pairs(sf_dir: str, threshold: float = 0.6):
         return pd.DataFrame({"doc_a": out.doc_id_x.to_numpy(np.int64),
                              "doc_b": out.doc_id_y.to_numpy(np.int64)})
 
-    cand = (docs.map_batches(prefix_rows, batch_format="pandas")
-            .groupby("kbucket")
-            .map_groups(pairs_in_bucket, batch_format="pandas"))
+    cand = _exchange(docs.map_batches(prefix_rows, batch_format="pandas"),
+                     "kbucket", pairs_in_bucket)
     cand = _preagg(cand, ["doc_a", "doc_b"],
                    [("_c", None, "count")]).select_columns(["doc_a", "doc_b"])
     return _verify_jaccard_pairs(sf_dir, cand, threshold)
@@ -2804,9 +2835,8 @@ def dedup_simhash_pairs(sf_dir: str, max_hamming: int = 3):
         return pd.DataFrame(out, columns=["doc_a", "doc_b", "hamming"])
 
     # pairs are globally unique by the first-band rule — no dedup exchange
-    return (docs.map_batches(band_rows, batch_format="pandas")
-            .groupby("kbucket")
-            .map_groups(pairs_in_bucket, batch_format="pandas"))
+    return _exchange(docs.map_batches(band_rows, batch_format="pandas"),
+                     "kbucket", pairs_in_bucket)
 
 
 def doc_token_counts_regex(sf_dir: str):
@@ -3634,7 +3664,7 @@ def doc_source_token_budget(sf_dir: str, budget: int = 1000):
         g["cum_tokens"] = g.n_tokens.cumsum()
         return g[g.cum_tokens <= budget]
 
-    return scored.groupby("source").map_groups(cut, batch_format="pandas")
+    return _exchange(scored, "source", cut)
 
 
 def sample_join_uniform(sf_dir: str, k: int = 200):
@@ -3721,8 +3751,8 @@ def geo_distance_join(sf_dir: str, radius: int = 20):
                              "n_neighbors": out["size"].to_numpy(np.int64),
                              "min_d2": out["min"].to_numpy(np.int64)})
 
-    return (ev.map_batches(replicate, batch_format="pandas")
-            .groupby("bk").map_groups(per_bucket, batch_format="pandas"))
+    return _exchange(ev.map_batches(replicate, batch_format="pandas"),
+                     "bk", per_bucket)
 
 
 def sample_weighted(sf_dir: str, k: int = 20):
@@ -3922,19 +3952,10 @@ def q21_waiting_suppliers(sf_dir: str, k: int = 10):
     vectorized pandas transforms (group max / sizes) — never a per-order
     Python loop, never a driver materialization. Output: top-k blamed
     suppliers (count desc, suppkey asc — total order, deterministic)."""
-    import ray
-
     li = read_testdata(sf_dir, "lineitem",
                        columns=["l_orderkey", "l_suppkey", "l_shipdate"])
     sm = _preagg(li, ["l_orderkey", "l_suppkey"],
                  [("md", "l_shipdate", "max")])
-
-    npart = max(8, int(ray.cluster_resources().get("CPU", 8)))
-
-    def key(df: pd.DataFrame) -> pd.DataFrame:
-        df["_pk"] = (pd.util.hash_pandas_object(df["l_orderkey"], index=False)
-                     % npart).astype("int32")
-        return df
 
     def blame(df: pd.DataFrame) -> pd.DataFrame:
         g = df.groupby("l_orderkey", sort=False)
@@ -3945,10 +3966,7 @@ def q21_waiting_suppliers(sf_dir: str, k: int = 10):
         w = w[nw.to_numpy() == 1]
         return pd.DataFrame({"l_suppkey": w.l_suppkey.astype(np.int64)})
 
-    blamed = (sm.map_batches(key, batch_format="pandas")
-                .groupby("_pk")
-                .map_groups(lambda df: blame(df.drop(columns=["_pk"])),
-                            batch_format="pandas"))
+    blamed = _exchange(sm, "l_orderkey", blame, n=_nhash())
     cnt = _preagg(blamed, ["l_suppkey"], [("numwait", None, "count")])
     # never the full supplier-level aggregate (sf-proportional at scale)
     df = _topk(cnt, ["numwait", "l_suppkey"], [False, True], k)
@@ -4057,7 +4075,7 @@ def events_value_mad(sf_dir: str):
             "mad_value": [round(float(np.median(np.abs(v - med))), 6)],
         })
 
-    return ev.groupby("event_type").map_groups(grp, batch_format="pandas")
+    return _exchange(ev, "event_type", grp)
 
 
 def events_interval_join(sf_dir: str, window_h: int = 2):
@@ -4065,34 +4083,29 @@ def events_interval_join(sf_dir: str, window_h: int = 2):
     purchase window) pairs where the error falls inside
     [purchase_ts, purchase_ts + 2h]. Unlike events_asof_purchase (which
     matches only the MOST RECENT purchase), every covering window counts —
-    the overlap-multiplicity interval-join semantic. One user_id-keyed
-    shuffle; inside each group the pair count is two np.searchsorted calls
-    against the user's sorted purchase timestamps (integer-µs arithmetic on
-    both engines → bit-exact SQL parity). Users with zero pairs drop out,
-    matching the SQL inner join."""
+    the overlap-multiplicity interval-join semantic. One user-hash
+    exchange; inside each bucket the pair count is two searchsorted calls
+    against the (user, ts)-sorted purchase timestamps (integer-µs
+    arithmetic on both engines → bit-exact SQL parity). Users with zero
+    pairs drop out, matching the SQL inner join."""
     ev = read_testdata(sf_dir, "events",
                        columns=["user_id", "ts", "event_type"])
     W = window_h * 3_600_000_000
 
-    def per_user(g: pd.DataFrame) -> pd.DataFrame:
+    def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
+        g, uid, us, _ = _by_user(g)
         et = g.event_type.to_numpy()
-        us = _epoch_us(g.ts)
-        p = np.sort(us[et == "purchase"])
-        e = us[et == "error"]
-        empty = pd.DataFrame({"user_id": np.array([], dtype=np.int64),
-                              "n_pairs": np.array([], dtype=np.int64)})
-        if len(p) == 0 or len(e) == 0:
-            return empty
+        pu, pt = uid[et == "purchase"], us[et == "purchase"]
+        eu, e = uid[et == "error"], us[et == "error"]
         # purchases covering e: p ∈ [e − W, e]
-        n = (np.searchsorted(p, e, side="right")
-             - np.searchsorted(p, e - W, side="left"))
-        tot = int(n.sum())
-        if tot == 0:
-            return empty
-        return pd.DataFrame({"user_id": [np.int64(g.user_id.iloc[0])],
-                             "n_pairs": [np.int64(tot)]})
+        n = (_lex_searchsorted(pu, pt, eu, e + 1)
+             - _lex_searchsorted(pu, pt, eu, e - W))
+        tot = pd.Series(n).groupby(eu, sort=False).sum()
+        tot = tot[tot > 0]
+        return pd.DataFrame({"user_id": tot.index.to_numpy(np.int64),
+                             "n_pairs": tot.to_numpy(np.int64)})
 
-    return ev.groupby("user_id").map_groups(per_user, batch_format="pandas")
+    return _exchange(ev, "user_id", per_bucket, n=_nhash())
 
 
 def events_ntile(sf_dir: str, tiles: int = 4):
@@ -4123,8 +4136,7 @@ def events_ntile(sf_dir: str, tiles: int = 4):
                          "avg_value": round(float(seg.sum() / len(seg)), 6)})
         return pd.DataFrame(rows)
 
-    return ev.groupby("event_type").map_groups(per_type,
-                                               batch_format="pandas")
+    return _exchange(ev, "event_type", per_type)
 
 
 def zonal_stats_landcover(sf_dir: str):
@@ -4500,8 +4512,7 @@ def doc_curation_pipeline(sf_dir: str):
         return (df.sort_values(["text_md5", "doc_id"])
                 .drop_duplicates("text_md5", keep="first"))
 
-    surv = rows.groupby("hbucket").map_groups(dedup_bucket,
-                                              batch_format="pandas")
+    surv = _exchange(rows, "hbucket", dedup_bucket)
 
     def tag(df: pd.DataFrame) -> pd.DataFrame:
         b = np.array(
@@ -4553,24 +4564,25 @@ def embedding_kmeans(sf_dir: str, k: int = 8):
 def events_first_last_value(sf_dir: str):
     """FIRST_VALUE / LAST_VALUE window pair per user: the value of the
     user's first and last event under the total (ts, event_id) order, plus
-    the event count — one shuffle keyed on user_id, one lexsort per group
-    (the Ray-Data form of FIRST_VALUE(value) OVER (PARTITION BY user_id
-    ORDER BY ts, event_id)). round(·,6) on both engines; integer-µs
-    timestamps make the order bit-exact."""
+    the event count — one user-hash exchange, one (user, ts, event_id)
+    lexsort per bucket (the Ray-Data form of FIRST_VALUE(value) OVER
+    (PARTITION BY user_id ORDER BY ts, event_id)). round(·,6) on both
+    engines; integer-µs timestamps make the order bit-exact."""
     ev = read_testdata(sf_dir, "events",
                        columns=["user_id", "ts", "event_id", "value"])
 
-    def per_user(g: pd.DataFrame) -> pd.DataFrame:
-        us = _epoch_us(g.ts)
-        order = np.lexsort((g.event_id.to_numpy(), us))
-        v = g.value.to_numpy(np.float64)[order]
+    def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
+        g, uid, _, first = _by_user(g, "event_id")
+        v = g.value.to_numpy(np.float64)
+        starts = np.flatnonzero(first)
+        ends = np.r_[starts[1:], len(v)]
         return pd.DataFrame({
-            "user_id": [np.int64(g.user_id.iloc[0])],
-            "first_value": [round(float(v[0]), 6)],
-            "last_value": [round(float(v[-1]), 6)],
-            "n_events": [np.int64(len(v))]})
+            "user_id": uid[starts],
+            "first_value": [round(x, 6) for x in v[starts].tolist()],
+            "last_value": [round(x, 6) for x in v[ends - 1].tolist()],
+            "n_events": ends - starts})
 
-    return ev.groupby("user_id").map_groups(per_user, batch_format="pandas")
+    return _exchange(ev, "user_id", per_bucket, n=_nhash())
 
 
 # --------------------------------------- LLM curation additions (round 4)
@@ -4651,13 +4663,11 @@ def doc_substring_dup_spans(sf_dir: str, n: int = 8):
                              "n_spans": ns, "n_dup_spans": ndup,
                              "dup_frac": frac})
 
-    dup_parts = (docs.map_batches(gram_partials, batch_format="pandas")
-                 .groupby("bk")
-                 .map_groups(mark_dups, batch_format="pandas"))
-    return (docs.map_batches(span_counts, batch_format="pandas")
-            .union(dup_parts)
-            .groupby("bk")
-            .map_groups(combine, batch_format="pandas"))
+    dup_parts = _exchange(
+        docs.map_batches(gram_partials, batch_format="pandas"), "bk",
+        mark_dups)
+    return _exchange(docs.map_batches(span_counts, batch_format="pandas")
+                     .union(dup_parts), "bk", combine)
 
 
 def doc_neardup_keep_best(sf_dir: str, threshold: float = 0.6):
@@ -4712,12 +4722,9 @@ def doc_neardup_keep_best(sf_dir: str, threshold: float = 0.6):
                              "quality": g.quality.to_numpy(np.float64),
                              "keep": g.doc_id.to_numpy(np.int64) == keep_id})
 
-    return (clusters.map_batches(cluster_rows, batch_format="pandas")
-            .union(docs.map_batches(qual_rows, batch_format="pandas"))
-            .groupby("bk")
-            .map_groups(merge_by_doc, batch_format="pandas")
-            .groupby("bk")
-            .map_groups(pick_best, batch_format="pandas"))
+    rows = (clusters.map_batches(cluster_rows, batch_format="pandas")
+            .union(docs.map_batches(qual_rows, batch_format="pandas")))
+    return _exchange(_exchange(rows, "bk", merge_by_doc), "bk", pick_best)
 
 
 def embedding_semantic_dedup(sf_dir: str, k: int = 8,
@@ -4770,9 +4777,8 @@ def embedding_semantic_dedup(sf_dir: str, k: int = 8,
                              "cluster": g.cluster.to_numpy(np.int64),
                              "keep": keep})
 
-    return (emb.map_batches(assign, batch_format="pandas")
-            .groupby("cluster")
-            .map_groups(greedy, batch_format="pandas"))
+    return _exchange(emb.map_batches(assign, batch_format="pandas"),
+                     "cluster", greedy)
 
 
 # ------------------------------------- partitioned spatial joins (round 4)
@@ -4954,10 +4960,9 @@ def geo_range_join(sf_dir: str):
             "event_id": m.id_p.to_numpy(np.int64)[keep],
             "rect_id": (-1 - m.id_r.to_numpy(np.int64))[keep]})
 
-    return (ev.map_batches(point_rows, batch_format="pandas")
-            .union(od.map_batches(rect_rows, batch_format="pandas"))
-            .groupby("bk")
-            .map_groups(join_bucket, batch_format="pandas"))
+    return _exchange(ev.map_batches(point_rows, batch_format="pandas")
+                     .union(od.map_batches(rect_rows, batch_format="pandas")),
+                     "bk", join_bucket)
 
 
 def geo_near_pairs(sf_dir: str, eps: float = 0.01):
@@ -5009,9 +5014,8 @@ def geo_near_pairs(sf_dir: str, eps: float = 0.01):
         return pd.DataFrame({"id_a": np.minimum(a, b),
                              "id_b": np.maximum(a, b)})
 
-    return (ev.map_batches(copies, batch_format="pandas")
-            .groupby("bk")
-            .map_groups(pair_bucket, batch_format="pandas"))
+    return _exchange(ev.map_batches(copies, batch_format="pandas"),
+                     "bk", pair_bucket)
 
 
 def geo_bbox_overlap_pairs(sf_dir: str):
@@ -5060,9 +5064,8 @@ def geo_bbox_overlap_pairs(sf_dir: str):
             "id_a": m.rect_id_a.to_numpy(np.int64)[keep],
             "id_b": m.rect_id_b.to_numpy(np.int64)[keep]})
 
-    return (od.map_batches(rect_rows, batch_format="pandas")
-            .groupby("bk")
-            .map_groups(pair_bucket, batch_format="pandas"))
+    return _exchange(od.map_batches(rect_rows, batch_format="pandas"),
+                     "bk", pair_bucket)
 
 
 def doc_substring_dedup_tokens(sf_dir: str, n: int = 8):
@@ -5143,13 +5146,10 @@ def doc_substring_dedup_tokens(sf_dir: str, n: int = 8):
                              "n_dup_tokens": cv,
                              "keep_frac": np.round((ntv - cv) / ntv, 6)})
 
-    dup = (docs.map_batches(window_rows, batch_format="pandas")
-           .groupby("bk")
-           .map_groups(dup_positions, batch_format="pandas"))
-    return (docs.map_batches(doc_rows, batch_format="pandas")
-            .union(dup)
-            .groupby("bk")
-            .map_groups(combine, batch_format="pandas"))
+    dup = _exchange(docs.map_batches(window_rows, batch_format="pandas"),
+                    "bk", dup_positions)
+    return _exchange(docs.map_batches(doc_rows, batch_format="pandas")
+                     .union(dup), "bk", combine)
 
 
 def geo_knn_join(sf_dir: str, k: int = 3, radius: float = 0.02):
@@ -5222,10 +5222,9 @@ def geo_knn_join(sf_dir: str, k: int = 3, radius: float = 0.02):
                              "rnk": c.rnk.to_numpy(np.int64),
                              "site_id": c.site_id.to_numpy(np.int64)})
 
-    return (ev.map_batches(point_rows, batch_format="pandas")
-            .union(od.map_batches(site_rows, batch_format="pandas"))
-            .groupby("bk")
-            .map_groups(knn_bucket, batch_format="pandas"))
+    return _exchange(ev.map_batches(point_rows, batch_format="pandas")
+                     .union(od.map_batches(site_rows, batch_format="pandas")),
+                     "bk", knn_bucket)
 
 
 def doc_tfidf_topterms(sf_dir: str, k: int = 5):
@@ -5292,11 +5291,9 @@ def doc_tfidf_topterms(sf_dir: str, k: int = 5):
                              "df": g.df.to_numpy(np.int64),
                              "tfidf": np.round(g.score.to_numpy(), 6)})
 
-    return (docs.map_batches(term_counts, batch_format="pandas")
-            .groupby("bk")
-            .map_groups(score_terms, batch_format="pandas")
-            .groupby("bk")
-            .map_groups(topk, batch_format="pandas"))
+    scored = _exchange(docs.map_batches(term_counts, batch_format="pandas"),
+                       "bk", score_terms)
+    return _exchange(scored, "bk", topk)
 
 
 def doc_pack_chunks(sf_dir: str, capacity: int = 512):
@@ -5348,7 +5345,7 @@ def doc_pack_chunks(sf_dir: str, capacity: int = 512):
                              "first_chunk": first, "last_chunk": last,
                              "n_chunks": last - first + 1})
 
-    return slim.groupby("bk").map_groups(pack, batch_format="pandas")
+    return _exchange(slim, "bk", pack)
 
 
 def image_tile_chips(sf_dir: str, tile: int = 64):
@@ -5500,8 +5497,7 @@ def doc_bigram_pmi(sf_dir: str, k: int = 100, min_cnt: int = 3):
                              "c1": big.c1.to_numpy(np.int64), "c2": c2,
                              "r": num / den})
 
-    out = _topk(slim.groupby("bk").map_groups(attach_c1, batch_format="pandas")
-                .groupby("bk").map_groups(attach_c2, batch_format="pandas"),
+    out = _topk(_exchange(_exchange(slim, "bk", attach_c1), "bk", attach_c2),
                 ["r", "w1", "w2"], [False, True, True], k)
     out["pmi"] = np.array([round(math.log(v), 6) for v in out.r],
                           dtype=np.float64)
@@ -5551,14 +5547,8 @@ def events_funnel(sf_dir: str):
         return pd.DataFrame({"depth": vc.index.to_numpy(np.int64),
                              "n_users": vc.to_numpy(np.int64)})
 
-    import ray
-
-    nbk = max(8, int(ray.cluster_resources().get("CPU", 8)))
-    parts = ev.map_batches(partial, batch_format="pandas")
-    parts = parts.map_batches(
-        lambda df: df.assign(bk=(df.user_id.to_numpy(np.int64) % nbk)),
-        batch_format="pandas")
-    per_bucket = parts.groupby("bk").map_groups(depth_of, batch_format="pandas")
+    per_bucket = _exchange(ev.map_batches(partial, batch_format="pandas"),
+                           "user_id", depth_of, n=_nhash())
     return _preagg(per_bucket, ["depth"], [("n_users", "n_users", "sum")])
 
 
@@ -5605,8 +5595,8 @@ def doc_inverted_index(sf_dir: str, k_postings: int = 10):
             "df": per_term.df.to_numpy(np.int64),
             "posting": posting.reindex(per_term.term).to_numpy(object)})
 
-    return (docs.map_batches(pairs, batch_format="pandas")
-            .groupby("bk").map_groups(build, batch_format="pandas"))
+    return _exchange(docs.map_batches(pairs, batch_format="pandas"),
+                     "bk", build)
 
 
 def events_ohlc_bars(sf_dir: str):
@@ -5687,15 +5677,8 @@ def events_ohlc_bars(sf_dir: str):
             "close": last.close.to_numpy(np.float64),
             "n": agg.n.to_numpy(np.int64)})
 
-    parts = ev.map_batches(partial, batch_format="pandas")
-    parts = parts.map_batches(
-        lambda df: df.assign(
-            bk=(pd.util.hash_pandas_object(
-                df[["event_type"]], index=False).to_numpy(np.uint64)
-                % np.uint64(32)).astype(np.int64)),
-        batch_format="pandas")
-    return parts.groupby("bk").map_groups(
-        lambda g: combine(g.drop(columns=["bk"])), batch_format="pandas")
+    return _exchange(ev.map_batches(partial, batch_format="pandas"),
+                     ["event_type", "hour"], combine, n=_nhash())
 
 
 def market_basket_pairs(sf_dir: str, min_cnt: int = 2, k: int = 100):
@@ -5731,8 +5714,7 @@ def market_basket_pairs(sf_dir: str, min_cnt: int = 2, k: int = 100):
         return c
 
     agg = _preagg(
-        li.map_batches(keyed, batch_format="pandas")
-        .groupby("bk").map_groups(pairs, batch_format="pandas"),
+        _exchange(li.map_batches(keyed, batch_format="pandas"), "bk", pairs),
         ["p1", "p2"], [("n", "n", "sum")])
 
     return _topk(agg.map_batches(lambda df: df[df.n >= min_cnt],
@@ -5768,9 +5750,8 @@ def _copurchase_edges(sf_dir: str, min_orders: int = 2):
              .reset_index(name="cnt"))
         return c
 
-    pair_parts = (li.map_batches(keyed, batch_format="pandas")
-                  .groupby("bk").map_groups(order_pairs,
-                                            batch_format="pandas"))
+    pair_parts = _exchange(li.map_batches(keyed, batch_format="pandas"),
+                           "bk", order_pairs)
     edges = (_preagg(pair_parts, ["p1", "p2"], [("cnt", "cnt", "sum")])
              .map_batches(lambda df: df[df.cnt >= min_orders]
                           [["p1", "p2"]], batch_format="pandas")
@@ -5816,12 +5797,11 @@ def graph_triangles(sf_dir: str, min_orders: int = 2, k: int = 100):
                              "kind": np.int64(1),
                              "bk2": (b * MIX + c) % nbk})
 
-    wedges = (edges.map_batches(
-        lambda df: df.assign(bk=df.p1.to_numpy(np.int64) % nbk),
-        batch_format="pandas")
-        .groupby("bk")
-        .map_groups(lambda g: wedge_rows(g.drop(columns=["bk"])),
-                    batch_format="pandas"))
+    wedges = _exchange(
+        edges.map_batches(
+            lambda df: df.assign(bk=df.p1.to_numpy(np.int64) % nbk),
+            batch_format="pandas"),
+        "bk", lambda g: wedge_rows(g.drop(columns=["bk"])))
     ekeyed = edges.map_batches(
         lambda df: pd.DataFrame({
             "a": np.int64(-1),
@@ -5843,8 +5823,7 @@ def graph_triangles(sf_dir: str, min_orders: int = 2, k: int = 100):
                              "n_tri": vc.to_numpy(np.int64)})
 
     counts = _preagg(
-        wedges.union(ekeyed).groupby("bk2")
-        .map_groups(close_and_count, batch_format="pandas"),
+        _exchange(wedges.union(ekeyed), "bk2", close_and_count),
         ["p"], [("n_tri", "n_tri", "sum")])
 
     return _topk(counts, ["n_tri", "p"], [False, True], k)
@@ -5917,8 +5896,8 @@ def graph_pagerank(sf_dir: str, iters: int = 5, damping: float = 0.85,
     # (measured: pr at 128→384 blocks over 5 rounds for 6k rows, round
     # wall 2.2 s → 13.4 s superlinear — the growing-block disease the
     # doc_dup_clusters loop already guards against)
-    mixed = (edges.map_batches(undirect, batch_format="pandas")
-             .groupby("bk").map_groups(attach_deg, batch_format="pandas")
+    mixed = (_exchange(edges.map_batches(undirect, batch_format="pandas"),
+                       "bk", attach_deg)
              .repartition(nbk)
              .materialize())
     n_nodes = mixed.map_batches(
@@ -5966,14 +5945,12 @@ def graph_pagerank(sf_dir: str, iters: int = 5, damping: float = 0.85,
             "bk": nd % nbk})
 
     for _ in range(iters):
-        prop_out = (mixed.union(pr).groupby("bk")
-                    .map_groups(prop, batch_format="pandas"))
+        prop_out = _exchange(mixed.union(pr), "bk", prop)
         # repartition(nbk) pins pr's block count per round (one cheap
         # exchange of O(nodes) slim rows) — without it each round's
         # groupby emits (|mixed| + |pr|) output blocks and the loop wall
         # grows superlinearly in the round number
-        pr = (prop_out.groupby("bk2")
-              .map_groups(combine, batch_format="pandas")
+        pr = (_exchange(prop_out, "bk2", combine)
               .repartition(nbk)
               .materialize())
         # hard lineage cut (see _cc_label_prop): drop the accumulated
@@ -6084,9 +6061,8 @@ def image_footprint_overlaps(sf_dir: str):
         return pd.DataFrame({"img_a": np.where(swap, sb, sa),
                              "img_b": np.where(swap, sa, sb)})
 
-    return (ds.map_batches(rect_rows, batch_format="pandas")
-            .groupby("bk")
-            .map_groups(pair_bucket, batch_format="pandas"))
+    return _exchange(ds.map_batches(rect_rows, batch_format="pandas"),
+                     "bk", pair_bucket)
 
 
 def events_global_rank(sf_dir: str):
@@ -6136,7 +6112,7 @@ def events_global_rank(sf_dir: str):
                              "pct": rnk.astype(np.float64)
                              / np.float64(n_total)})
 
-    return slim.groupby("bk").map_groups(rank_bucket, batch_format="pandas")
+    return _exchange(slim, "bk", rank_bucket)
 
 
 def events_nearest_error(sf_dir: str, tol_min: int = 10):
@@ -6194,8 +6170,8 @@ def events_nearest_error(sf_dir: str, tol_min: int = 10):
             "error_id": c.error_id.to_numpy(np.int64),
             "dt_us": c.dt_us.to_numpy(np.int64)})
 
-    return (ev.map_batches(rows, batch_format="pandas")
-            .groupby("bk").map_groups(nearest, batch_format="pandas"))
+    return _exchange(ev.map_batches(rows, batch_format="pandas"),
+                     "bk", nearest)
 
 
 def image_chip_stats(sf_dir: str, tile: int = 64):
@@ -6321,11 +6297,10 @@ def doc_decontaminate(sf_dir: str, n: int = 8, eval_source: str = "src0"):
         return pd.DataFrame({"doc_id": out.doc_id.to_numpy(np.int64),
                              "n_contam": out.n_contam.to_numpy(np.int64)})
 
-    return (docs.map_batches(gram_partials, batch_format="pandas")
-            .groupby("bk").map_groups(mark_contam, batch_format="pandas")
-            .groupby("bk").map_groups(
-                lambda g: per_doc(g.drop(columns=["bk"])),
-                batch_format="pandas"))
+    marked = _exchange(docs.map_batches(gram_partials, batch_format="pandas"),
+                       "bk", mark_contam)
+    return _exchange(marked, "bk",
+                     lambda g: per_doc(g.drop(columns=["bk"])))
 
 
 def snapshot_diff(sf_dir: str):
@@ -6395,10 +6370,8 @@ def snapshot_diff(sf_dir: str):
             "old_price": np.where(added, -1.0, po),
             "new_price": np.where(deleted, -1.0, pn)})
 
-    return (ds.map_batches(versions, batch_format="pandas")
-            .groupby("bk")
-            .map_groups(lambda g: diff(g.drop(columns=["bk"])),
-                        batch_format="pandas"))
+    return _exchange(ds.map_batches(versions, batch_format="pandas"),
+                     "bk", lambda g: diff(g.drop(columns=["bk"])))
 
 
 def image_id_fuzzy_neighbors(sf_dir: str):
@@ -6482,13 +6455,10 @@ def image_id_fuzzy_neighbors(sf_dir: str):
         return pd.DataFrame({"image_id": vc.index.to_numpy(object),
                              "n_neighbors": vc.to_numpy(np.int64)})
 
-    counted = (ds.map_batches(variants, batch_format="pandas")
-               .groupby("bk")
-               .map_groups(lambda g: pair_bucket(g.drop(columns=["bk"])),
-                           batch_format="pandas")
-               .groupby("bk2")
-               .map_groups(lambda g: dedup_count(g.drop(columns=["bk2"])),
-                           batch_format="pandas"))
+    paired = _exchange(ds.map_batches(variants, batch_format="pandas"), "bk",
+                       lambda g: pair_bucket(g.drop(columns=["bk"])))
+    counted = _exchange(paired, "bk2",
+                        lambda g: dedup_count(g.drop(columns=["bk2"])))
     return _preagg(counted, ["image_id"],
                    [("n_neighbors", "n_neighbors", "sum")])
 
@@ -6558,10 +6528,8 @@ def events_table_profile(sf_dir: str):
                              "cnt": out.cnt.to_numpy(np.int64)})
 
     agg = _preagg(
-        ds.map_batches(partials, batch_format="pandas")
-        .groupby("bk")
-        .map_groups(lambda g: bucket_reduce(g.drop(columns=["bk"])),
-                    batch_format="pandas"),
+        _exchange(ds.map_batches(partials, batch_format="pandas"), "bk",
+                  lambda g: bucket_reduce(g.drop(columns=["bk"]))),
         ["ci", "kind"], [("cnt", "cnt", "sum")]).to_pandas()
     # ≤ 2·n_cols rows: pivot on the driver
     dist = agg[agg.kind == "distinct"].set_index("ci")["cnt"]
@@ -6678,7 +6646,7 @@ def geo_zorder_layout(sf_dir: str, nfiles: int = 64):
         return p.astype(np.int64)
 
     agg = _preagg(
-        slim.groupby("bk").map_groups(assign, batch_format="pandas"),
+        _exchange(slim, "bk", assign),
         ["file_id"], [
             ("n_points", "n_points", "sum"),
             ("zkey_lo", "zkey_lo", "min"), ("zkey_hi", "zkey_hi", "max"),
@@ -6857,7 +6825,7 @@ def events_record_breakers(sf_dir: str):
         return pd.DataFrame({"event_id": g.event_id.to_numpy(np.int64)[keep],
                              "value": v[keep]})
 
-    return slim.groupby("bk").map_groups(records, batch_format="pandas")
+    return _exchange(slim, "bk", records)
 
 
 def geo_idw_interpolate(sf_dir: str, k: int = 4):
@@ -6940,7 +6908,7 @@ def doc_shuffle_positions(sf_dir: str, seed: int = 17):
             "doc_id": g.doc_id.to_numpy(np.int64),
             "shuffle_pos": base + np.arange(1, len(g) + 1, dtype=np.int64)})
 
-    return slim.groupby("bk").map_groups(rank_bucket, batch_format="pandas")
+    return _exchange(slim, "bk", rank_bucket)
 
 
 def doc_mixture_order(sf_dir: str):
@@ -7006,8 +6974,7 @@ def doc_mixture_order(sf_dir: str):
             "doc_id": g.doc_id.to_numpy(np.int64), "p": p,
             "pbk": np.clip((p / pwidth).astype(np.int64), 0, nbk - 1)})
 
-    mid = (slim.groupby("bk").map_groups(within_rank, batch_format="pandas")
-           .materialize())
+    mid = _exchange(slim, "bk", within_rank).materialize()
 
     # phase 1b/2b: global rank over p (the _bucket_offsets scan on the
     # p-range)
@@ -7020,7 +6987,7 @@ def doc_mixture_order(sf_dir: str):
             "doc_id": g.doc_id.to_numpy(np.int64),
             "mix_pos": base + np.arange(1, len(g) + 1, dtype=np.int64)})
 
-    return mid.groupby("pbk").map_groups(rank_bucket, batch_format="pandas")
+    return _exchange(mid, "pbk", rank_bucket)
 
 
 def geo_block_split(sf_dir: str, block: int = 64):
@@ -7129,8 +7096,8 @@ def _esda_neighbor_stats(sf_dir: str, nbr: str = "value"):
             "k": out.k.fillna(0).to_numpy(np.int64),
             "sx": out.sx.fillna(0.0).to_numpy(np.float64)})
 
-    return (ev.map_batches(copies, batch_format="pandas")
-            .groupby("bk").map_groups(nbr_stats, batch_format="pandas"))
+    return _exchange(ev.map_batches(copies, batch_format="pandas"),
+                     "bk", nbr_stats)
 
 
 def _esda_scalars(sf_dir: str, names=("value",)):
@@ -7324,22 +7291,22 @@ def events_markov_transitions(sf_dir: str):
     Output (prev_type, next_type, n_trans, p_trans round-6); ≤ |types|²
     rows.
 
-    Scale shape: one shuffle keyed on user_id (the LAG pattern of
-    events_user_lag), vectorized in-group pairing, then a pre-aggregated
+    Scale shape: one user-hash exchange (the LAG pattern of
+    events_user_lag), vectorized in-bucket pairing, then a pre-aggregated
     count exchange bounded by |types|² and a one-task normalize — the
     per-prev totals live in the same ≤25-row frame, never a second
     pass over the input."""
     ev = read_testdata(sf_dir, "events", columns=["event_id", "user_id",
                                                   "ts", "event_type"])
 
-    def per_user(g: pd.DataFrame) -> pd.DataFrame:
-        us = _epoch_us(g.ts)
-        order = np.lexsort((g.event_id.to_numpy(), us))
-        t = g.event_type.to_numpy()[order]
-        return pd.DataFrame({"prev_type": t[:-1], "next_type": t[1:]})
+    def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
+        g, _, _, first = _by_user(g, "event_id")
+        t = g.event_type.to_numpy()
+        same = ~first[1:]  # the pair (i, i+1) lies in one user's sequence
+        return pd.DataFrame({"prev_type": t[:-1][same],
+                             "next_type": t[1:][same]})
 
-    pairs = ev.groupby("user_id").map_groups(per_user,
-                                             batch_format="pandas")
+    pairs = _exchange(ev, "user_id", per_bucket, n=_nhash())
     agg = _preagg(pairs, ["prev_type", "next_type"],
                   [("n_trans", None, "count")])
 
@@ -7437,22 +7404,17 @@ def _cc_label_prop(labels, edges, n_nodes: int, n_edges: int,
     labels = labels.repartition(lbl_blocks).materialize()
     prev = _reduce(labels, [("s", "lbl", "sum")])["s"]
     for _ in range(max_rounds):
-        prop = (erows.union(labels.map_batches(label_rows,
-                                               batch_format="pandas"))
-                .groupby("bk")
-                .map_groups(propagate, batch_format="pandas"))
-        labels = (prop.union(labels.map_batches(
+        prop = _exchange(erows.union(labels.map_batches(
+            label_rows, batch_format="pandas")), "bk", propagate)
+        labels = (_exchange(prop.union(labels.map_batches(
                       lambda df: df.assign(
                           bk=(df.node.to_numpy(np.int64) % nbk)),
-                      batch_format="pandas"))
-                  .groupby("bk")
-                  .map_groups(min_combine, batch_format="pandas")
+                      batch_format="pandas")), "bk", min_combine)
                   .materialize())  # consumed twice by the shortcut branches
-        labels = (labels.map_batches(q_rows, batch_format="pandas")
-                  .union(labels.map_batches(v_rows,
-                                            batch_format="pandas"))
-                  .groupby("bk")
-                  .map_groups(shortcut, batch_format="pandas")
+        labels = (_exchange(labels.map_batches(q_rows, batch_format="pandas")
+                            .union(labels.map_batches(v_rows,
+                                                      batch_format="pandas")),
+                            "bk", shortcut)
                   .repartition(lbl_blocks)
                   .materialize())
         # HARD lineage cut: materialize() keeps the full plan/stats chain
@@ -7591,10 +7553,8 @@ def geo_dbscan_clusters(sf_dir: str, eps: float = _DBS_EPS,
             "flag": np.concatenate([np.zeros(n0 + n1, bool),
                                     np.isin(rep_a, core)])})
 
-    mixed = (ev.map_batches(copies, batch_format="pandas")
-             .groupby("bk").map_groups(flags_and_edges,
-                                       batch_format="pandas")
-             .materialize())
+    mixed = _exchange(ev.map_batches(copies, batch_format="pandas"), "bk",
+                      flags_and_edges).materialize()
 
     # the (rep, lbl, is_core) table, one task over the domain-bounded
     # core reps and position pairs
@@ -7831,31 +7791,34 @@ def geo_user_paths(sf_dir: str):
     primitive behind trip-length distributions and GPS-jitter screens.
     Output (user_id, n_steps, path_len round-6, net_disp round-6).
 
-    Scale shape: ONE shuffle keyed on user_id (the LAG pattern), a
-    vectorized lexsort + diff per group; per-user output rows only."""
+    Scale shape: ONE user-hash exchange (the LAG pattern), a vectorized
+    (user, ts, event_id) lexsort + diff per bucket; per-user output rows
+    only. Each user's path length still sums its own steps array, so the
+    float sum associates as a per-user ``steps.sum()``."""
     ev = read_testdata(sf_dir, "events", columns=["event_id", "user_id",
                                                   "ts"])
 
-    def per_user(g: pd.DataFrame) -> pd.DataFrame:
-        us = _epoch_us(g.ts)
-        order = np.lexsort((g.event_id.to_numpy(), us))
-        p = _event_points(g.iloc[order])
+    def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
+        g, uid, _, first = _by_user(g, "event_id")
+        p = _event_points(g)
         lat = p.lat.to_numpy()
         lon = p.lon.to_numpy()
+        starts = np.flatnonzero(first)
+        ends = np.r_[starts[1:], len(lat)]
         dlat = lat[1:] - lat[:-1]
         dlon = lon[1:] - lon[:-1]
         steps = np.sqrt(1.8 * dlat * dlat + dlon * dlon)
-        nlat = lat[-1] - lat[0]
-        nlon = lon[-1] - lon[0]
+        nlat = lat[ends - 1] - lat[starts]
+        nlon = lon[ends - 1] - lon[starts]
         return pd.DataFrame({
-            "user_id": g.user_id.to_numpy()[:1],
-            "n_steps": np.array([len(steps)], dtype=np.int64),
-            "path_len": np.array([round(float(steps.sum()), 6)]),
-            "net_disp": np.array([round(float(
-                np.sqrt(1.8 * nlat * nlat + nlon * nlon)), 6)])})
+            "user_id": uid[starts],
+            "n_steps": ends - starts - 1,
+            "path_len": [round(float(steps[a:b - 1].sum()), 6)
+                         for a, b in zip(starts, ends)],
+            "net_disp": [round(x, 6) for x in np.sqrt(
+                1.8 * nlat * nlat + nlon * nlon).tolist()]})
 
-    return ev.groupby("user_id").map_groups(per_user,
-                                            batch_format="pandas")
+    return _exchange(ev, "user_id", per_bucket, n=_nhash())
 
 
 def geo_contour_lines(sf_dir: str):
@@ -7955,8 +7918,7 @@ def geo_emerging_hotspots(sf_dir: str):
                                ("down" if s < 0 else "flat")],
                               dtype=object)})
 
-    return cen.groupby(["tile_x", "tile_y"]).map_groups(
-        mk, batch_format="pandas")
+    return _exchange(cen, ["tile_x", "tile_y"], mk)
 
 
 def events_cusum_changepoint(sf_dir: str):
@@ -8004,8 +7966,7 @@ def events_cusum_changepoint(sf_dir: str):
             "cusum_at_cp": np.array([round(float(cum[i]), 6)]),
             "mean_daily": np.array([round(float(xbar), 6)])})
 
-    return cen.groupby("event_type").map_groups(cusum,
-                                                batch_format="pandas")
+    return _exchange(cen, "event_type", cusum)
 
 
 def _rasterize_rows(idx, classes: np.ndarray, lat0: float, lon0: float,
@@ -8463,34 +8424,30 @@ def geo_speed_outliers(sf_dir: str):
     over identical IEEE doubles is exact parity; zero-gap segments are
     excluded on both engines (speed undefined).
 
-    Scale shape: ONE user-keyed exchange; per-group work is one lexsort
-    + vectorized diffs (the events_user_lag window pattern)."""
+    Scale shape: ONE user-hash exchange; per-bucket work is one (user,
+    ts, event_id) lexsort + vectorized diffs (the events_user_lag window
+    pattern)."""
     ev = read_testdata(sf_dir, "events",
                        columns=["event_id", "user_id", "ts"])
 
-    def per_user(g: pd.DataFrame) -> pd.DataFrame:
-        us = _epoch_us(g.ts)
-        eid = g.event_id.to_numpy(np.int64)
-        order = np.lexsort((eid, us))
-        us = us[order]
-        p = _event_points(g.iloc[order])
+    def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
+        g, uid, us, first = _by_user(g, "event_id")
+        p = _event_points(g)
         dlat = np.diff(p.lat.to_numpy(np.float64))
         dlon = np.diff(p.lon.to_numpy(np.float64))
         dt = np.diff(us)
-        ok = dt > 0
-        if not ok.any():
-            return pd.DataFrame({
-                "user_id": np.array([], dtype=np.int64),
-                "n_segments": np.array([], dtype=np.int64),
-                "max_speed": np.array([], dtype=np.float64)})
+        ok = (dt > 0) & ~first[1:]  # a segment within one user's path
         speed = (np.sqrt(1.8 * dlat[ok] * dlat[ok] + dlon[ok] * dlon[ok])
                  / (dt[ok] / 1e6))
+        mx = pd.Series(speed).groupby(uid[1:][ok], sort=False).agg(
+            ["size", "max"])
         return pd.DataFrame({
-            "user_id": np.array([np.int64(g.user_id.iloc[0])]),
-            "n_segments": np.array([np.int64(ok.sum())]),
-            "max_speed": np.array([round(float(speed.max()), 6)])})
+            "user_id": mx.index.to_numpy(np.int64),
+            "n_segments": mx["size"].to_numpy(np.int64),
+            "max_speed": np.array([round(x, 6) for x in mx["max"].tolist()],
+                                  dtype=np.float64)})
 
-    return ev.groupby("user_id").map_groups(per_user, batch_format="pandas")
+    return _exchange(ev, "user_id", per_bucket, n=_nhash())
 
 
 def geo_od_matrix(sf_dir: str):
@@ -8506,12 +8463,9 @@ def geo_od_matrix(sf_dir: str):
     then two more _preagg stages: (od, user) distinct contraction and
     the final od rollup. Nothing materializes beyond the bounded
     10×10×10×10 OD space."""
-    import ray
-
     ev = read_testdata(sf_dir, "events",
                        columns=["event_id", "user_id", "ts"])
     DAY = 86_400_000_000
-    npart = max(8, int(ray.cluster_resources().get("CPU", 8)))
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
         us = _epoch_us(df.ts)
@@ -8524,12 +8478,8 @@ def geo_od_matrix(sf_dir: str):
         g = t.groupby(["uid", "dkey"], sort=False)
         first = g.head(1)
         last = g.tail(1)
-        out = pd.concat([first.assign(end=0), last.assign(end=1)],
-                        ignore_index=True)
-        out["_pk"] = (pd.util.hash_pandas_object(out[["uid", "dkey"]],
-                                                 index=False)
-                      % npart).astype("int32")
-        return out
+        return pd.concat([first.assign(end=0), last.assign(end=1)],
+                         ignore_index=True)
 
     def resolve(df: pd.DataFrame) -> pd.DataFrame:
         # global first/last per (uid, dkey) from the per-block candidates.
@@ -8549,9 +8499,9 @@ def geo_od_matrix(sf_dir: str):
             "dx": ((de // 7) % 4300) // 430,
             "dy": (de % 2900) // 290})
 
-    trips = (ev.map_batches(partial, batch_format="pandas",
-                            batch_size=None)
-             .groupby("_pk").map_groups(resolve, batch_format="pandas"))
+    trips = _exchange(ev.map_batches(partial, batch_format="pandas",
+                                     batch_size=None),
+                      ["uid", "dkey"], resolve, n=_nhash())
     per_user = _preagg(trips, ["ox", "oy", "dx", "dy", "uid"],
                        [("k", None, "count")])
     od = _preagg(per_user, ["ox", "oy", "dx", "dy"],
@@ -8660,9 +8610,8 @@ def geo_ripley_k(sf_dir: str):
         return pd.DataFrame({f"p{i}": [np.int64(w[d2 <= r2].sum() - n_self)]
                              for i, r2 in enumerate(r2s)})
 
-    part = (ev.map_batches(copies, batch_format="pandas")
-            .groupby("bk").map_groups(pair_counts, batch_format="pandas")
-            .to_pandas())
+    part = _exchange(ev.map_batches(copies, batch_format="pandas"), "bk",
+                     pair_counts).to_pandas()
     n = _pq_nrows(testdata_path(sf_dir, "events"))
     area = 4.3 * 2.9
     rows = []
@@ -8720,8 +8669,7 @@ def geo_nearest_neighbor_stats(sf_dir: str):
             "dsum": np.where(cens, 0.0, d),
             "dmin": np.where(cens, np.inf, d)})
 
-    nn = (ev.map_batches(copies, batch_format="pandas")
-          .groupby("bk").map_groups(nn_min, batch_format="pandas"))
+    nn = _exchange(ev.map_batches(copies, batch_format="pandas"), "bk", nn_min)
     agg = _preagg(nn, ["tile_x", "tile_y"],
                   [("n", "one", "sum"), ("n_unc", "unc", "sum"),
                    ("ds", "dsum", "sum"), ("dm", "dmin", "min")])
@@ -8879,18 +8827,17 @@ def geo_direction_rose(sf_dir: str):
     rules (axis-aligned east/west win the corner; zero displacement is
     excluded on both sides).
 
-    Scale shape: one user-keyed exchange (the LAG pattern), vectorized
-    octant select per group, 8-row bounded output via `_preagg`."""
+    Scale shape: one user-hash exchange (the LAG pattern), vectorized
+    octant select per bucket, 8-row bounded output via `_preagg`."""
     ev = read_testdata(sf_dir, "events",
                        columns=["event_id", "user_id", "ts"])
 
-    def per_user(g: pd.DataFrame) -> pd.DataFrame:
-        us = _epoch_us(g.ts)
-        eid = g.event_id.to_numpy(np.int64)
-        order = np.lexsort((eid, us))
-        p = _event_points(g.iloc[order])
-        dlat = np.diff(p.lat.to_numpy(np.float64))
-        dlon = np.diff(p.lon.to_numpy(np.float64))
+    def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
+        g, _, _, first = _by_user(g, "event_id")
+        p = _event_points(g)
+        same = ~first[1:]  # a segment within one user's path
+        dlat = np.diff(p.lat.to_numpy(np.float64))[same]
+        dlon = np.diff(p.lon.to_numpy(np.float64))[same]
         lon_major = np.abs(dlon) > np.abs(dlat)
         b = np.select(
             [lon_major & (dlon > 0) & (dlat >= 0),
@@ -8905,9 +8852,8 @@ def geo_direction_rose(sf_dir: str):
         b = b[b >= 0]  # zero displacement excluded
         return pd.DataFrame({"octant": b.astype(np.int64)})
 
-    agg = _preagg(ev.groupby("user_id").map_groups(
-        per_user, batch_format="pandas"),
-        ["octant"], [("n_segments", None, "count")])
+    agg = _preagg(_exchange(ev, "user_id", per_bucket, n=_nhash()),
+                  ["octant"], [("n_segments", None, "count")])
 
     def fin(df: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame({
@@ -9392,9 +9338,8 @@ def geo_colocation_quotient(sf_dir: str):
             "na": np.concatenate([np.zeros(len(ab), dtype=np.int64),
                                   na.na.to_numpy(np.int64)])})
 
-    part = (ev.map_batches(copies, batch_format="pandas")
-            .groupby("bk").map_groups(partial, batch_format="pandas")
-            .to_pandas())
+    part = _exchange(ev.map_batches(copies, batch_format="pandas"), "bk",
+                     partial).to_pandas()
     counts = _preagg(read_testdata(sf_dir, "events",
                                    columns=["event_type"]),
                      ["event_type"], [("n", None, "count")]).to_pandas()

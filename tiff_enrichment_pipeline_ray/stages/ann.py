@@ -356,6 +356,8 @@ def embedding_near_dup_pairs(sf_dir: str, threshold: float = 0.4,
     equal to the brute-force oracle in tests."""
     import ray.data as rd
 
+    from ..pipelines.queries import _exchange
+
     path = os.path.join(sf_dir, "embeddings.parquet")
     ds = rd.read_parquet(path, columns=["vec_id", "embedding"])
     C = sample_centroids(ds, k, seed=seed)
@@ -380,10 +382,8 @@ def embedding_near_dup_pairs(sf_dir: str, threshold: float = 0.4,
             "cosine_sim": np.round(sims[m], 6),
         })
 
-    out = (ds.map_batches(assign, batch_format="pandas")
-           .groupby("centroid")
-           .map_groups(pairs_in_bucket, batch_format="pandas")
-           .to_pandas())
+    out = _exchange(ds.map_batches(assign, batch_format="pandas"), "centroid",
+                    pairs_in_bucket).to_pandas()
     if len(out) == 0:
         return pd.DataFrame({"vec_a": pd.Series(dtype=np.int64),
                              "vec_b": pd.Series(dtype=np.int64),
